@@ -695,6 +695,8 @@ def load_params(path) -> ParameterSet:
             params.add(name, arr.copy())
     except (struct.error, ValueError) as exc:
         raise CheckpointError(f"{path}: truncated at byte {pos}") from exc
+    if pos != len(blob):
+        raise CheckpointError(f"{path}: trailing bytes at offset {pos}")
     return params
 
 

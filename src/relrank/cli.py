@@ -221,7 +221,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     print(f"trained {model.name} (seed {seed}): best epoch "
           f"{result.best_epoch}/{len(result.log)}, dev MAP "
           f"{result.best_dev_map:.4f}, {result.skipped_queries} queries "
-          f"skipped{flags} -> {ckpt}")
+          f"skipped, {result.rejected_steps} steps rejected{flags} -> {ckpt}")
     return 0
 
 

@@ -181,6 +181,7 @@ class TrainResult:
     skipped_queries: int
     stopped_early: bool = False
     diverged: bool = False
+    rejected_steps: int = 0
 
     def log_lines(self) -> str:
         return "".join(json.dumps(rec.to_json()) + "\n" for rec in self.log)
@@ -196,7 +197,9 @@ def train(model, data: TrainData, config: TrainConfig,
     """Run the optimization and return the best-dev-MAP checkpoint.
 
     Divergence (a non-finite batch loss) stops training immediately and the
-    last checkpoint that produced a finite dev MAP is returned.  When
+    last checkpoint that produced a finite dev MAP is returned.  A step that
+    Adam rejects for a non-finite gradient leaves the parameters as they
+    were and is counted in ``rejected_steps``.  When
     ``log_path`` is given, epoch records are appended there as JSON lines.
     """
     rng = np.random.default_rng(config.seed)
@@ -209,6 +212,7 @@ def train(model, data: TrainData, config: TrainConfig,
     stale_epochs = 0
     stopped_early = False
     diverged = False
+    rejected_steps = 0
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(1, config.epochs + 1):
@@ -240,7 +244,8 @@ def train(model, data: TrainData, config: TrainConfig,
                 if value > 0.0:
                     (batch_loss * (1.0 / len(batch))).backward()
                     model.params.clip_grad_norm(config.clip_norm)
-                    adam_step(model.params, adam)
+                    if not adam_step(model.params, adam):
+                        rejected_steps += 1
             if diverged:
                 break
             train_loss = total_loss / len(instances)
@@ -270,7 +275,7 @@ def train(model, data: TrainData, config: TrainConfig,
     if best_epoch == 0:
         best_map = float("nan")
     return TrainResult(best_params, best_epoch, best_map, records,
-                       skipped_total, stopped_early, diverged)
+                       skipped_total, stopped_early, diverged, rejected_steps)
 
 
 def select_best_epoch(records: list[EpochRecord]) -> EpochRecord:

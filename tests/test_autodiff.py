@@ -336,3 +336,12 @@ class TestParameterSet:
         path.write_bytes(blob[:-10])
         with pytest.raises(CheckpointError):
             ad.load_params(path)
+
+    def test_checkpoint_trailing_bytes(self, tmp_path):
+        ps = ParameterSet()
+        ps.add("w", np.ones((3, 3)))
+        path = tmp_path / "model.ckpt"
+        ad.save_params(path, ps)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(CheckpointError, match="trailing bytes at offset 96"):
+            ad.load_params(path)

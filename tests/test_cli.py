@@ -135,10 +135,12 @@ class TestTrainCommand:
         assert all(set(r) == {"epoch", "train_loss", "dev_map"}
                    for r in records)
 
-    def test_retrain_is_byte_identical(self, ws, trained):
+    def test_retrain_is_byte_identical(self, ws, trained, capsys):
         before = trained.read_bytes()
         log_before = trained.with_suffix(".log.jsonl").read_bytes()
+        capsys.readouterr()
         assert main(["train", ws.cfg]) == 0
+        assert "queries skipped, 0 steps rejected -> " in capsys.readouterr().out
         assert trained.read_bytes() == before
         assert trained.with_suffix(".log.jsonl").read_bytes() == log_before
 

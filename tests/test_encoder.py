@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relrank.autodiff import ParameterSet, Tensor, grad_check
+from relrank.autodiff import ParameterSet, Tensor, gather_rows, grad_check
 from relrank.encoder import BiRnnEncoder, LstmCell, orthogonal_matrix
 from relrank.errors import ConfigError
 
@@ -12,32 +12,63 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def reference_direction(x, w_in, w_rec, bias, order):
-    """Plain-numpy unroll of the gate equations, one position at a time."""
+def reference_bptt(x, w_in, w_rec, bias, order, grad_h):
+    """Plain-numpy BPTT for one direction, one step at a time.
+
+    ``grad_h[pos]`` is d(loss)/d(hidden state at pos); returns the
+    hidden states and the gradients of x, w_in, w_rec and bias.
+    """
     d = x.shape[1]
     h = np.zeros(d)
     c = np.zeros(d)
-    out = {}
+    hidden = np.zeros_like(x)
+    saved = []
     for pos in order:
         z = x[pos] @ w_in + w_rec @ h + bias
-        gi = sigmoid(z[0:d])
-        gf = sigmoid(z[d:2 * d])
-        go = sigmoid(z[2 * d:3 * d])
+        gi, gf, go = sigmoid(z[0:d]), sigmoid(z[d:2 * d]), sigmoid(z[2 * d:3 * d])
         cand = np.tanh(z[3 * d:4 * d])
-        c = gf * c + gi * cand
-        h = go * np.tanh(c)
-        out[pos] = h.copy()
-    return out
+        c_new = gf * c + gi * cand
+        saved.append((pos, h, c, gi, gf, go, cand, np.tanh(c_new)))
+        h, c = go * np.tanh(c_new), c_new
+        hidden[pos] = h
+    dx, dw_in = np.zeros_like(x), np.zeros_like(w_in)
+    dw_rec, dbias = np.zeros_like(w_rec), np.zeros_like(bias)
+    dh_next, dc_next = np.zeros(d), np.zeros(d)
+    for pos, h_prev, c_prev, gi, gf, go, cand, tc in reversed(saved):
+        dh = grad_h[pos] + dh_next
+        dc = dc_next + dh * go * (1.0 - tc ** 2)
+        dz = np.concatenate([dc * cand * gi * (1.0 - gi),
+                             dc * c_prev * gf * (1.0 - gf),
+                             dh * tc * go * (1.0 - go),
+                             dc * gi * (1.0 - cand ** 2)])
+        dw_rec += np.outer(dz, h_prev)
+        dbias += dz
+        dw_in += np.outer(x[pos], dz)
+        dx[pos] += w_in @ dz
+        dh_next = w_rec.T @ dz
+        dc_next = dc * gf
+    return hidden, dx, dw_in, dw_rec, dbias
+
+
+def reachable_nodes(out):
+    seen, todo = set(), [out]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.parents)
+    return len(seen)
 
 
 def reference_encode(x, enc):
-    n, d = x.shape
-    fc, bc = enc.forward_cell, enc.backward_cell
-    fwd = reference_direction(x, fc.w_in.data, fc.w_rec.data, fc.bias.data, range(n))
-    bwd = reference_direction(x, bc.w_in.data, bc.w_rec.data, bc.bias.data,
-                              range(n - 1, -1, -1))
-    rows = [np.concatenate([fwd[i] + x[i], bwd[i] + x[i]]) for i in range(n)]
-    return np.stack(rows)
+    n = x.shape[0]
+    halves = []
+    for cell, order in [(enc.forward_cell, range(n)),
+                        (enc.backward_cell, range(n - 1, -1, -1))]:
+        hidden = reference_bptt(x, cell.w_in.data, cell.w_rec.data,
+                                cell.bias.data, order, np.zeros_like(x))[0]
+        halves.append(hidden + x)
+    return np.concatenate(halves, axis=1)
 
 
 def zero_cell(cell):
@@ -196,6 +227,94 @@ class TestGradients:
         loss.backward()
         assert params["encoder.fwd.w_in"].grad.shape == (2, 8)
         assert np.isfinite(params.grad_norm())
+
+
+class TestFusedDirection:
+    """``LstmCell.run`` is one autodiff node per direction with hand-written BPTT."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matches_numpy_bptt_oracle(self, n, reverse):
+        rng = np.random.default_rng(100 + n)
+        d = 3
+        cell = LstmCell(d, rng)
+        cell.bias.data[:] = rng.standard_normal(4 * d)
+        xs = rng.standard_normal((n, d))
+        grad_h = rng.standard_normal((n, d))
+        x = Tensor(xs.copy())
+        out = cell.run(x, reverse=reverse)
+        (out * Tensor(grad_h)).sum().backward()
+        order = range(n - 1, -1, -1) if reverse else range(n)
+        hidden, dx, dw_in, dw_rec, dbias = reference_bptt(
+            xs, cell.w_in.data, cell.w_rec.data, cell.bias.data, order, grad_h)
+        np.testing.assert_allclose(out.data, hidden, rtol=1e-12, atol=1e-14)
+        for got, want in [(x.grad, dx), (cell.w_in.grad, dw_in),
+                          (cell.w_rec.grad, dw_rec), (cell.bias.grad, dbias)]:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_grad_check(self, n, reverse):
+        rng = np.random.default_rng(200 + n)
+        d = 3
+        cell = LstmCell(d, rng)
+        weights = rng.standard_normal((n, d))
+
+        def f(w_in, w_rec, bias, x):
+            cell.w_in, cell.w_rec, cell.bias = w_in, w_rec, bias
+            return (cell.run(x, reverse=reverse) * Tensor(weights)).sum()
+
+        report = grad_check(f, [cell.w_in.data.copy(), cell.w_rec.data.copy(),
+                                rng.standard_normal(4 * d),
+                                rng.standard_normal((n, d))], tol=1e-6)
+        assert report.passed, report
+
+    def test_gradient_reaches_gathered_embeddings_through_dropout(self):
+        rng = np.random.default_rng(17)
+        enc = BiRnnEncoder(3, rng, dropout=0.4)
+        table = rng.standard_normal((6, 3))
+        rows = [4, 1, 4, 0, 2]  # row 4 twice, rows 3 and 5 unused
+        weights = rng.standard_normal((len(rows), 6))
+
+        def f(emb):
+            out = enc.encode(gather_rows(emb, rows),
+                             dropout_rng=np.random.default_rng(3))
+            return (out * Tensor(weights)).sum()
+
+        report = grad_check(f, [table], tol=1e-6)
+        assert report.passed, report
+        emb = Tensor(table.copy())
+        f(emb).backward()
+        np.testing.assert_array_equal(emb.grad[[3, 5]], 0.0)
+        assert np.all(np.abs(emb.grad[[0, 1, 2, 4]]).sum(axis=1) > 0.0)
+        # A dropped input carries no gradient back to its (single-use) row.
+        keep = np.random.default_rng(3).random((len(rows), 3)) >= 0.4
+        for pos in (1, 3, 4):
+            np.testing.assert_array_equal(emb.grad[rows[pos]][~keep[pos]], 0.0)
+        assert not keep.all()
+        dropped = enc.encode(Tensor(table[rows]), np.random.default_rng(3))
+        assert np.abs(dropped.data - enc.encode(Tensor(table[rows])).data).max() > 0
+
+    def test_graph_size_independent_of_length(self):
+        rng = np.random.default_rng(18)
+        enc = BiRnnEncoder(4, rng)
+        sizes = {n: reachable_nodes(enc.encode(Tensor(rng.standard_normal((n, 4)))))
+                 for n in [1, 5, 60]}
+        assert len(set(sizes.values())) == 1, sizes
+
+    def test_step_runs_once_per_token_per_direction(self, monkeypatch):
+        calls = []
+        original = LstmCell.step
+
+        def counted(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(LstmCell, "step", counted)
+        enc = BiRnnEncoder(3, np.random.default_rng(19))
+        enc.encode(Tensor(np.ones((9, 3))))
+        assert calls.count(enc.forward_cell) == 9
+        assert calls.count(enc.backward_cell) == 9
 
 
 class TestDropout:

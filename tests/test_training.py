@@ -251,6 +251,20 @@ class FrozenScorer(Scorer):
         return self.w * 0.0
 
 
+class OverflowScorer(Scorer):
+    """Test double whose score stays 0 while its gradient overflows to inf,
+    which clipping turns into NaN, so Adam rejects every step."""
+
+    name = "overflow"
+
+    def __init__(self):
+        super().__init__()
+        self.w = self.params.add("w", np.zeros(()))
+
+    def score(self, pair, doc_state=None, dropout_rng=None):
+        return self.w * 1e200 * 1e200
+
+
 class TestTrainLoop:
     def small_config(self, **kw):
         opts = dict(epochs=4, batch_size=8, learning_rate=0.05, seed=3)
@@ -269,6 +283,7 @@ class TestTrainLoop:
         for earlier, later in zip(averages, averages[1:]):
             assert later <= earlier + 1e-9
         assert losses[-1] < losses[0]
+        assert result.rejected_steps == 0
 
     def test_same_seed_identical_logs_and_checkpoints(self):
         results = []
@@ -363,6 +378,21 @@ class TestTrainLoop:
         result = train(CountingScorer(), data,
                        self.small_config(epochs=1, patience=5))
         assert result.skipped_queries == 1
+
+    def test_rejected_steps_counted_and_parameters_kept(self):
+        rng = np.random.default_rng(12)
+        data = toy_world(rng, with_extra=True)
+        instances, _ = sample_instances(data.train_qrels,
+                                        data.train_candidates, rng)
+        config = self.small_config(epochs=2, patience=5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(OverflowScorer(), data, config)
+        batches = -(-len(instances) // config.batch_size)
+        assert not result.diverged
+        assert len(result.log) == 2
+        assert all(rec.train_loss == 1.0 for rec in result.log)
+        assert result.rejected_steps == 2 * batches
+        np.testing.assert_array_equal(result.best_params["w"].data, 0.0)
 
 
 class TestBestEpochSelection:
