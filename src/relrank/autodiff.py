@@ -14,8 +14,8 @@ Conventions:
   * ties in max/k-max go to the earlier index, and only selected positions
     receive gradient.
   * ``softmax`` subtracts the per-axis max before exponentiation.
-  * normalizing a zero vector yields the zero vector and propagates zero
-    gradient (same for cosine with a zero-norm argument).
+  * normalizing a zero row yields the zero row and propagates zero
+    gradient.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import struct
 from contextlib import contextmanager
 
 import numpy as np
+
+from .files import atomic_open
 
 __all__ = [
     "Tensor",
@@ -35,8 +37,6 @@ __all__ = [
     "concat",
     "stack",
     "dot",
-    "cosine",
-    "l2_normalize",
     "l2_normalize_rows",
     "add_rowvec",
     "gather_rows",
@@ -61,10 +61,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def _tracing():
-    return _grad_enabled
 
 
 class Tensor:
@@ -262,9 +258,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def flatten(self):
-        return self.reshape(self.data.size)
-
     def transpose(self):
         if self.ndim != 2:
             raise ValueError(f"transpose expects a 2-D tensor, got {self.shape}")
@@ -439,41 +432,6 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
         def bw():
             a._grad += out._grad * b.data
             b._grad += out._grad * a.data
-        out._backward = bw
-    return out
-
-
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two 1-D tensors; 0 (with zero grad) if either is zero."""
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("cosine expects 1-D tensors")
-    _same_shape(a, b)
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
-        return Tensor(0.0, (a, b), "cosine")
-    y = float(np.dot(a.data, b.data)) / (na * nb)
-    out = Tensor(y, (a, b), "cosine")
-    if out.parents:
-        def bw():
-            g = out._grad
-            a._grad += g * (b.data / (na * nb) - y * a.data / (na * na))
-            b._grad += g * (a.data / (na * nb) - y * b.data / (nb * nb))
-        out._backward = bw
-    return out
-
-
-def l2_normalize(t: Tensor) -> Tensor:
-    """Scale a tensor to unit Frobenius norm; the zero tensor maps to itself."""
-    n = float(np.linalg.norm(t.data))
-    if n == 0.0:
-        return Tensor(np.zeros_like(t.data), (t,), "l2_normalize")
-    y = t.data / n
-    out = Tensor(y, (t,), "l2_normalize")
-    if out.parents:
-        def bw():
-            g = out._grad
-            t._grad += (g - y * np.sum(g * y)) / n
         out._backward = bw
     return out
 
@@ -654,7 +612,7 @@ class CheckpointError(Exception):
 
 
 def save_params(path, params: ParameterSet):
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
         for name, t in params.items():
@@ -724,44 +682,53 @@ class GradCheckReport:
 def grad_check(f, inputs, h: float = 1e-4, tol: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of scalar-valued ``f`` with (f(x+h)-f(x-h))/(2h).
 
-    ``f`` takes one Tensor per entry of ``inputs`` and returns a scalar Tensor.
-    Relative error uses a unit floor: |a-n| / max(1, |a|, |n|).  A function
-    whose repeated evaluation differs bitwise aborts the check.
+    ``inputs`` holds arrays or Tensors, and ``f`` takes one Tensor per
+    entry and returns a scalar Tensor.  A Tensor input is checked in place:
+    its ``.data`` is swapped for a copy that the differences perturb, and
+    the original array is put back afterwards, so ``f`` may read it through
+    any reference (a model's own parameters, say).  Relative error uses a
+    unit floor: |a-n| / max(1, |a|, |n|).  A function whose repeated
+    evaluation differs bitwise aborts the check.
     """
-    arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
+    tensors = [x if isinstance(x, Tensor) else Tensor(x) for x in inputs]
+    originals = [t.data for t in tensors]
 
-    def evaluate(arrs) -> float:
+    def evaluate() -> float:
         with no_grad():
-            out = f(*[Tensor(a) for a in arrs])
+            out = f(*tensors)
         if out.data.size != 1:
             raise GradCheckError("grad_check requires a scalar-valued function")
         return float(out.data.reshape(()))
 
-    if evaluate(arrays) != evaluate(arrays):
-        raise GradCheckError("function is not deterministic; check aborted")
+    try:
+        for t in tensors:
+            t.data = np.array(t.data, dtype=np.float64)
+            t._grad = None
+        if evaluate() != evaluate():
+            raise GradCheckError("function is not deterministic; check aborted")
+        out = f(*tensors)
+        if out.data.size != 1:
+            raise GradCheckError("grad_check requires a scalar-valued function")
+        out.backward()
+        analytic = [t.grad.copy() for t in tensors]
 
-    tensors = [Tensor(a.copy()) for a in arrays]
-    out = f(*tensors)
-    if out.data.size != 1:
-        raise GradCheckError("grad_check requires a scalar-valued function")
-    out.backward()
-    analytic = [t.grad.copy() for t in tensors]
-
-    per_input = []
-    for i, base in enumerate(arrays):
-        numeric = np.zeros_like(base)
-        flat = numeric.reshape(-1)
-        work = [a.copy() for a in arrays]
-        wflat = work[i].reshape(-1)
-        for j in range(wflat.size):
-            orig = wflat[j]
-            wflat[j] = orig + h
-            fp = evaluate(work)
-            wflat[j] = orig - h
-            fm = evaluate(work)
-            wflat[j] = orig
-            flat[j] = (fp - fm) / (2.0 * h)
-        denom = np.maximum(1.0, np.maximum(np.abs(analytic[i]), np.abs(numeric)))
-        err = np.abs(analytic[i] - numeric) / denom
-        per_input.append(float(err.max()) if err.size else 0.0)
+        per_input = []
+        for t, grad in zip(tensors, analytic):
+            numeric = np.zeros_like(t.data)
+            flat = numeric.reshape(-1)
+            wflat = t.data.reshape(-1)
+            for j in range(wflat.size):
+                orig = wflat[j]
+                wflat[j] = orig + h
+                fp = evaluate()
+                wflat[j] = orig - h
+                fm = evaluate()
+                wflat[j] = orig
+                flat[j] = (fp - fm) / (2.0 * h)
+            denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(numeric)))
+            err = np.abs(grad - numeric) / denom
+            per_input.append(float(err.max()) if err.size else 0.0)
+    finally:
+        for t, data in zip(tensors, originals):
+            t.data = data
     return GradCheckReport(per_input, tol)

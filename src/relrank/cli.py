@@ -22,6 +22,7 @@ from .config import PipelineConfig, load_config, read_split, write_meta
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .errors import ConfigError, DataError, RelrankError
 from .evaluation import (MetricsReport, evaluate_run, stratified_shuffle_test)
+from .files import atomic_open, write_json
 from .index import build_index, load_index, oracle_rerank, retrieve_topn
 from .models import BASELINE, build_model
 from .rerank import PairBuilder, inspect_interactions, rerank_candidates
@@ -311,9 +312,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
         payload["baseline"] = base.to_json()
         payload["significance"] = sig.to_json()
         inputs["baseline"] = args.baseline
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, payload)
     write_meta(out, _meta(cfg, inputs))
     return 0
 
@@ -331,7 +330,7 @@ def cmd_inspect(cfg: PipelineConfig, args) -> int:
                                 args.doc_id, doc_budget=args.budget)
     text = json.dumps(dump, indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with atomic_open(args.output) as fh:
             fh.write(text + "\n")
         inputs = dict(world.inputs, checkpoint=str(ckpt))
         write_meta(args.output, _meta(cfg, inputs, seed=seed))
@@ -369,7 +368,7 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
         train_ids = sorted(q for j, f in enumerate(folds)
                            for q in f if j not in (i, (i + 1) % args.folds))
         for name, ids in (("train", train_ids), ("dev", dev), ("test", test)):
-            with open(fold_dir / f"{name}.split", "w", encoding="utf-8") as fh:
+            with atomic_open(fold_dir / f"{name}.split") as fh:
                 fh.write("".join(qid + "\n" for qid in ids))
         data = cfg.to_dict()
         # Pin the shared candidates file: the fold's outputs dir moves, and
@@ -380,9 +379,7 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
                     outputs=str(fold_dir),
                     checkpoints=str(fold_dir / "checkpoints"),
                     candidates=cfg.candidates_path)
-        with open(fold_dir / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(fold_dir / "config.json", data)
         print(f"fold {i}: {len(train_ids)} train / {len(dev)} dev / "
               f"{len(test)} test -> {fold_dir / 'config.json'}")
     write_meta(root / "xval", _meta(cfg, {"queries": cfg.queries},
@@ -423,9 +420,7 @@ def cmd_repeat(cfg: PipelineConfig, args) -> int:
                 for name in MetricsReport.METRICS},
     }
     out = Path(cfg.outputs) / f"repeat-{model.name}.summary.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out, summary)
     write_meta(out, _meta(cfg, world.inputs, seeds=seeds))
     for name in MetricsReport.METRICS:
         print(f"{name}: mean {summary['mean'][name]:.4f} "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError
+from .files import write_json
 from .training import TrainConfig
 
 __all__ = [
@@ -193,6 +194,4 @@ def read_split(path) -> list[str]:
 
 def write_meta(artifact_path, meta: dict) -> None:
     """Write the ``.meta.json`` sidecar for an artifact."""
-    with open(str(artifact_path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(str(artifact_path) + ".meta.json", meta)

@@ -1,4 +1,4 @@
-"""Pre-trained word vectors: word2vec IO, corpus alignment, and term views.
+"""Pre-trained word vectors: word2vec IO, corpus alignment, and exact-match keys.
 
 Both word2vec encodings share the header line ``vocab_size dim``.  The text
 body is one ``token v1 ... vdim`` line per entry; the binary body is
@@ -7,9 +7,6 @@ between entries.  Vectors are held as float64 after loading.
 """
 
 from __future__ import annotations
-
-import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,10 +157,6 @@ class EmbeddingMatrix:
     def oov_row(self) -> int:
         return self.rows.shape[0] - 1
 
-    @property
-    def oov_vector(self) -> np.ndarray:
-        return self.rows[-1]
-
     def row_index(self, term_id: int) -> int:
         if 0 <= term_id < self.oov_row:
             return term_id
@@ -202,16 +195,8 @@ def load_embeddings(path, vocabulary: Vocabulary, fmt: str = "text") -> Embeddin
 
 
 # ---------------------------------------------------------------------------
-# Term views
+# Exact-match keys
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TermView:
-    """Per-position vectors for one side of a query-document pair."""
-
-    tag: str
-    vectors: np.ndarray
 
 
 def exact_match_keys(query, doc):
@@ -230,24 +215,3 @@ def exact_match_keys(query, doc):
             q_keys.append(("id", tid))
     d_keys = [("id", tid) for tid in doc.terms]
     return q_keys, d_keys
-
-
-def exact_match_vectors(query, doc) -> tuple[TermView, TermView]:
-    """One-hot views over the union vocabulary of one query-document pair.
-
-    Identical terms get identical one-hots, so the cosine between a query
-    position and a document position is 1 for the same term and 0 otherwise.
-    """
-    q_keys, d_keys = exact_match_keys(query, doc)
-    slots: dict = {}
-    for key in q_keys + d_keys:
-        if key not in slots:
-            slots[key] = len(slots)
-    width = max(len(slots), 1)
-    qv = np.zeros((len(q_keys), width), dtype=np.float64)
-    dv = np.zeros((len(d_keys), width), dtype=np.float64)
-    for i, key in enumerate(q_keys):
-        qv[i, slots[key]] = 1.0
-    for j, key in enumerate(d_keys):
-        dv[j, slots[key]] = 1.0
-    return TermView("exact_match", qv), TermView("exact_match", dv)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ParameterSet, Tensor, concat
+from .autodiff import Tensor, concat
 from .errors import ConfigError
 
 
@@ -144,17 +144,9 @@ class BiRnnEncoder:
         self.forward_cell = LstmCell(dim, rng)
         self.backward_cell = LstmCell(dim, rng)
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.dim
-
     def parameters(self, prefix: str = "encoder"):
         return (self.forward_cell.parameters(f"{prefix}.fwd")
                 + self.backward_cell.parameters(f"{prefix}.bwd"))
-
-    def register(self, params: ParameterSet, prefix: str = "encoder") -> None:
-        for name, tensor in self.parameters(prefix):
-            params.add(name, tensor)
 
     def encode(self, x: Tensor, dropout_rng: np.random.Generator | None = None) -> Tensor:
         """Encode an (n, dim) sequence into (n, 2*dim) context vectors.

@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import atomic_open
 from .text import IdfTable, Vocabulary
 from .trec import Candidate, Qrels, RankedList
 
@@ -223,7 +224,7 @@ def save_index(index: InvertedIndex, path) -> None:
         "idf_doc_count": index.idf.doc_count,
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", _VERSION))
         fh.write(struct.pack("<I", len(meta_bytes)))

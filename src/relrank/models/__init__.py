@@ -2,24 +2,9 @@
 
 from .features import ExtraFeatureBuilder, ExtraFeatures
 from .inputs import PairInput, build_pair_input
-from .scorers import (
-    BASELINE,
-    AttentionDrmm,
-    AttentionDrmmMv,
-    CombinedScorer,
-    HistogramDrmm,
-    Pacrr,
-    PacrrDrmm,
-    PooledCosineDrmm,
-    PooledCosineDrmmMv,
-    Scorer,
-    build_model,
-    model_names,
-)
+from .scorers import BASELINE, Scorer, build_model, model_names
 
 __all__ = [
-    "AttentionDrmm", "AttentionDrmmMv", "BASELINE", "CombinedScorer",
-    "ExtraFeatureBuilder", "ExtraFeatures", "HistogramDrmm", "Pacrr",
-    "PacrrDrmm", "PairInput", "PooledCosineDrmm", "PooledCosineDrmmMv",
-    "Scorer", "build_model", "build_pair_input", "model_names",
+    "BASELINE", "ExtraFeatureBuilder", "ExtraFeatures", "PairInput", "Scorer",
+    "build_model", "build_pair_input", "model_names",
 ]

@@ -54,24 +54,6 @@ def drmm_histogram(q_vec: np.ndarray, d_vecs: np.ndarray,
 # Query-term gating
 # ---------------------------------------------------------------------------
 
-GATE_MODES = ("emb+idf", "emb", "idf")
-
-
-def gate_features(q_emb: np.ndarray, q_idf: np.ndarray,
-                  mode: str = "emb+idf") -> np.ndarray:
-    """Per-q-term gating inputs: embedding, IDF, or their concatenation."""
-    if mode == "emb+idf":
-        return np.concatenate([q_emb, q_idf[:, None]], axis=1)
-    if mode == "emb":
-        return np.asarray(q_emb, dtype=np.float64)
-    if mode == "idf":
-        return np.asarray(q_idf, dtype=np.float64)[:, None]
-    raise ConfigError(f"unknown gate mode {mode!r}; choose from {GATE_MODES}")
-
-
-def gate_width(dim: int, mode: str = "emb+idf") -> int:
-    return gate_features(np.zeros((1, dim)), np.zeros(1), mode).shape[1]
-
 
 def term_gate(feats: Tensor, w_gate: Tensor) -> Tensor:
     """Softmax attention over query terms; output sums to 1."""
@@ -134,13 +116,6 @@ def max_kmax_pool(scores: Tensor, k: int) -> Tensor:
     best = scores.max(axis=1)
     avg_topk = scores.kmax(kk).mean(axis=1)
     return stack([best, avg_topk], axis=1)
-
-
-def pooled_pair(row: Tensor, k: int) -> Tensor:
-    """Single-row form of max_kmax_pool, returning a 2-vector."""
-    if row.ndim != 1 or row.shape[0] < 1:
-        raise ValueError(f"expected a nonempty 1-D score row, got {row.shape}")
-    return max_kmax_pool(row.reshape(1, row.shape[0]), k).reshape(2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,21 @@
 """The relevance architectures: each maps a query-document pair to a scalar.
 
-Every scorer owns a ParameterSet; ``score`` returns a scalar autodiff tensor
-so the training loop can backpropagate through it.  ``doc_state`` returns
-the per-document value worth caching while parameters are frozen (the
-recurrent document encoding), or None for models without one.
+Every model is one :class:`Scorer` built in three stages.  The *rows*
+stage gives each query term a document-aware row: a DRMM similarity
+histogram, PACRR's convolutional n-gram match, or the attention or
+pooled-cosine signature of one or more *views* of the pair (context
+encodings, raw embeddings, exact matches).  A dense *head* (:class:`Mlp`)
+scores the rows, and an *aggregation* combines them: a softmax gate over
+the query terms, a linear mix (pacrr-drmm), or, for pacrr, flattening the
+rows before the head.  With extra features on, that score is then mixed
+linearly with the four extra features; ``bm25-extra`` is the mix alone.
+
+``score`` returns a scalar autodiff tensor so the training loop can
+backpropagate through it.  ``doc_state`` returns the per-document value
+worth caching while parameters are frozen (the recurrent document
+encoding), or None for models without one.  Each model holds its
+parameters in one ParameterSet, registered in the order rows, head,
+aggregation, ``combine.*``; that order is the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ import inspect
 
 import numpy as np
 
-from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows
+from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows, pad2d
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError
 from .components import Mlp, glorot_uniform
@@ -21,8 +33,6 @@ from .interactions import (
     cosine_attention,
     drmm_histogram,
     equality_matrix,
-    gate_features,
-    gate_width,
     hashed_match_vectors,
     histogram_edges,
     max_kmax_pool,
@@ -32,335 +42,282 @@ from .interactions import (
 )
 from .inputs import PairInput
 
+BASELINE = "bm25-extra"
+MULTIVIEW = ("context", "embedding", "exact")
+GATE_MODES = ("emb+idf", "emb", "idf")
+
 
 class Scorer:
-    """Base class: parameter registry plus the scoring entry points."""
+    """rows -> head -> aggregation, optionally mixed with the extra features.
+
+    ``rows_stage(model, pair, doc_state, dropout_rng)`` returns the rows;
+    it is None only for the baseline.  The builders below assemble one
+    scorer per registry name.
+    """
 
     name = "base"
 
-    def __init__(self):
+    def __init__(self, rows_stage=None):
         self.params = ParameterSet()
-        self.emb: Tensor | None = None
+        self.rows_stage = rows_stage
+        self.encoder: BiRnnEncoder | None = None
+        self.emb: Tensor | None = None  # trainable embedding matrix
+        self.head: Mlp | None = None
+        self.aggregation: str | None = None  # "gate", "linear" or "flat"
+        self.gate_mode: str | None = None  # with "gate": "emb+idf", "emb" or "idf"
+        self.extra = False
+
+    def register(self, prefix: str, module):
+        """Add a module's parameters under ``prefix``; returns the module."""
+        for name, tensor in module.parameters(prefix):
+            self.params.add(name, tensor)
+        return module
+
+    def _vectors(self, frozen: np.ndarray, rows: np.ndarray) -> Tensor:
+        return Tensor(frozen) if self.emb is None else gather_rows(self.emb, rows)
+
+    def view(self, name: str, pair: PairInput, doc_state=None, dropout_rng=None):
+        """One view of the pair as (query side, document side): ``context``
+        encodings, raw ``embedding`` vectors, or ``exact``-match keys."""
+        if name == "exact":
+            return pair.q_keys, pair.d_keys
+        q = self._vectors(pair.q_emb, pair.q_rows)
+        if name == "embedding":
+            return q, self._vectors(pair.d_emb, pair.d_rows)
+        q_ctx = self.encoder.encode(q, dropout_rng)
+        if doc_state is not None:
+            return q_ctx, Tensor(doc_state)
+        return q_ctx, self.encoder.encode(self._vectors(pair.d_emb, pair.d_rows),
+                                          dropout_rng)
+
+    def rows(self, pair: PairInput, doc_state=None, dropout_rng=None) -> Tensor:
+        """The document-aware rows: one per query term, or max_query_terms
+        rows (padded or truncated) for the convolutional models."""
+        return self.rows_stage(self, pair, doc_state, dropout_rng)
+
+    def gate_inputs(self, pair: PairInput) -> Tensor:
+        """Per-q-term gate inputs: embedding, IDF, or the two side by side."""
+        idf = Tensor(pair.q_idf[:, None])
+        if self.gate_mode == "idf":
+            return idf
+        q = self._vectors(pair.q_emb, pair.q_rows)
+        return q if self.gate_mode == "emb" else concat([q, idf], axis=1)
 
     def doc_state(self, pair: PairInput):
-        return None
+        if self.encoder is None:
+            return None
+        return self.encoder.encode(self._vectors(pair.d_emb, pair.d_rows)).data
 
     def score(self, pair: PairInput, doc_state=None, dropout_rng=None) -> Tensor:
-        raise NotImplementedError
+        p = self.params
+        if not self.extra:
+            return self._aggregate(pair, self.rows(pair, doc_state, dropout_rng))
+        if pair.extra is None:
+            raise ConfigError(
+                f"model {self.name!r} needs extra features on every pair")
+        total = dot(p["combine.w_extra"], Tensor(pair.extra)) + p["combine.b"]
+        if self.rows_stage is None:
+            return total
+        base = self._aggregate(pair, self.rows(pair, doc_state, dropout_rng))
+        return total + base * p["combine.w_model"]
 
-    # Gating over query terms, shared by the DRMM-shaped models.
-
-    def _init_gate(self, dim: int, rng, gate_mode: str) -> None:
-        self.gate_mode = gate_mode
-        width = gate_width(dim, gate_mode)
-        self.w_gate = self.params.add(
-            "gate.w", glorot_uniform(rng, width, 1, width))
-
-    def _gate_feats(self, pair: PairInput) -> Tensor:
-        if self.emb is None:
-            return Tensor(gate_features(pair.q_emb, pair.q_idf, self.gate_mode))
-        q_e = gather_rows(self.emb, pair.q_rows)
-        if self.gate_mode == "emb":
-            return q_e
-        idf_col = Tensor(pair.q_idf[:, None])
-        if self.gate_mode == "idf":
-            return idf_col
-        return concat([q_e, idf_col], axis=1)
-
-    def _gates(self, pair: PairInput) -> Tensor:
-        return term_gate(self._gate_feats(pair), self.w_gate)
+    def _aggregate(self, pair: PairInput, rows: Tensor) -> Tensor:
+        if self.aggregation == "flat":
+            return self.head.rows(rows.reshape(1, rows.size))[0]
+        row_scores = self.head.rows(rows)
+        if self.aggregation == "linear":
+            return dot(self.params["agg.w"], row_scores) + self.params["agg.b"]
+        gates = term_gate(self.gate_inputs(pair), self.params["gate.w"])
+        return dot(gates, row_scores)
 
 
-class HistogramDrmm(Scorer):
-    """Bucketed-cosine-histogram scorer with gated per-term aggregation.
-
-    Histograms are built outside the graph: no gradient reaches the
-    embeddings, only the dense stack and the gate train.
-    """
-
-    name = "drmm"
-
-    def __init__(self, dim: int, rng, buckets: int = 30, hidden=None,
-                 gate_mode: str = "emb+idf"):
-        super().__init__()
-        self.edges = histogram_edges(buckets)
-        if hidden is None:
-            hidden = (buckets, buckets)
-        self.mlp = Mlp(buckets, hidden, rng)
-        for name, tensor in self.mlp.parameters("mlp"):
-            self.params.add(name, tensor)
-        self._init_gate(dim, rng, gate_mode)
-
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        hists = np.stack([drmm_histogram(q_vec, pair.d_emb, self.edges)
-                          for q_vec in pair.q_emb])
-        rows = self.mlp.rows(Tensor(np.log1p(hists)))
-        return dot(self._gates(pair), rows)
+# ---------------------------------------------------------------------------
+# Stage assembly
+# ---------------------------------------------------------------------------
 
 
-class _ConvRowsBase(Scorer):
-    """Shared similarity-matrix row assembly for the convolutional models.
+def _gated_head(model: Scorer, prefix: str, width: int, hidden, dim: int,
+                rng, gate_mode: str) -> Scorer:
+    """Score each row with a shared Mlp, then gate over the query terms."""
+    if gate_mode not in GATE_MODES:
+        raise ConfigError(
+            f"unknown gate mode {gate_mode!r}; choose from {GATE_MODES}")
+    model.head = model.register(prefix, Mlp(width, hidden, rng))
+    gate_width = {"emb+idf": dim + 1, "emb": dim, "idf": 1}[gate_mode]
+    model.params.add("gate.w", glorot_uniform(rng, gate_width, 1, gate_width))
+    model.aggregation = "gate"
+    model.gate_mode = gate_mode
+    return model
+
+
+def _encoder_scorer(rows_stage, dim: int, rng, dropout: float,
+                    trainable_embeddings: bool, emb_matrix) -> Scorer:
+    model = Scorer(rows_stage)
+    model.encoder = model.register("encoder", BiRnnEncoder(dim, rng, dropout))
+    if trainable_embeddings:
+        if emb_matrix is None:
+            raise ConfigError(
+                "trainable embeddings need the embedding matrix at build time")
+        model.emb = model.params.add("embeddings", emb_matrix.rows.copy())
+    return model
+
+
+def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
+               max_kernel: int, filters: int, k: int):
+    """Register PACRR's filters; return the rows stage and its row width.
 
     Per query row: k-max of the raw cosine row (size-1 signal), then k-max
     of each conv output (sizes 2..max_kernel, relu, max over filters), then
     the softmax-normalized IDF appended after pooling.
     """
+    if not 2 <= max_kernel <= max_query_terms:
+        raise ConfigError(
+            f"kernel sizes must satisfy 2 <= max_kernel <= max_query_terms, "
+            f"got max_kernel={max_kernel}, max_query_terms={max_query_terms}")
+    if not 1 <= k <= max_doc_terms:
+        raise ConfigError(
+            f"k-max depth must satisfy 1 <= k <= max_doc_terms, got {k}")
+    if filters < 1:
+        raise ConfigError(f"need at least one filter, got {filters}")
+    convs = [(n, model.params.add(f"conv{n}.w", glorot_uniform(
+                  rng, n * n, n * n, (filters, n, n))),
+              model.params.add(f"conv{n}.b", np.zeros(filters)))
+             for n in range(2, max_kernel + 1)]
 
-    def __init__(self, dim: int, rng, max_query_terms: int = 30,
-                 max_doc_terms: int = 300, max_kernel: int = 3,
-                 filters: int = 16, k: int = 2):
-        super().__init__()
-        if not 2 <= max_kernel <= max_query_terms:
-            raise ConfigError(
-                f"kernel sizes must satisfy 2 <= max_kernel <= max_query_terms, "
-                f"got max_kernel={max_kernel}, max_query_terms={max_query_terms}")
-        if not 1 <= k <= max_doc_terms:
-            raise ConfigError(
-                f"k-max depth must satisfy 1 <= k <= max_doc_terms, got {k}")
-        if filters < 1:
-            raise ConfigError(f"need at least one filter, got {filters}")
-        self.l_q = max_query_terms
-        self.l_d = max_doc_terms
-        self.max_kernel = max_kernel
-        self.k = k
-        self.conv_w = []
-        self.conv_b = []
-        for n in range(2, max_kernel + 1):
-            w = self.params.add(
-                f"conv{n}.w", glorot_uniform(rng, n * n, n * n, (filters, n, n)))
-            b = self.params.add(f"conv{n}.b", np.zeros(filters))
-            self.conv_w.append(w)
-            self.conv_b.append(b)
-        self.row_width = max_kernel * k + 1
+    def rows(model, pair, doc_state, dropout_rng):
+        # Looked up at call time, so a wrapper put on autodiff.conv2d (the
+        # benchmark's tracer) sees every call.
+        from ..autodiff import conv2d
 
-    def doc_aware_rows(self, pair: PairInput) -> Tensor:
-        """(max_query_terms, row_width) document-aware query-term encodings."""
-        from ..autodiff import pad2d, conv2d
-
-        sim = Tensor(sim_matrix(pair.q_emb, pair.d_emb, self.l_q, self.l_d))
-        feats = [sim.kmax(self.k)]
-        for n, w, b in zip(range(2, self.max_kernel + 1), self.conv_w, self.conv_b):
+        sim = Tensor(sim_matrix(pair.q_emb, pair.d_emb, max_query_terms,
+                                max_doc_terms))
+        feats = [sim.kmax(k)]
+        for n, w, b in convs:
             top = (n - 1) // 2
             bottom = n - 1 - top
             padded = pad2d(sim, (top, bottom), (top, bottom))
-            pooled = conv2d(padded, w, b).relu().max(axis=0)
-            feats.append(pooled.kmax(self.k))
-        feats.append(Tensor(softmax_idf(pair.q_idf, self.l_q)[:, None]))
+            feats.append(conv2d(padded, w, b).relu().max(axis=0).kmax(k))
+        feats.append(Tensor(softmax_idf(pair.q_idf, max_query_terms)[:, None]))
         return concat(feats, axis=1)
 
-
-class Pacrr(_ConvRowsBase):
-    """Convolutional matcher scored by one dense stack over all rows."""
-
-    name = "pacrr"
-
-    def __init__(self, dim: int, rng, max_query_terms: int = 30,
-                 max_doc_terms: int = 300, max_kernel: int = 3,
-                 filters: int = 16, k: int = 2, hidden=()):
-        super().__init__(dim, rng, max_query_terms, max_doc_terms,
-                         max_kernel, filters, k)
-        self.dense = Mlp(self.l_q * self.row_width, hidden, rng)
-        for name, tensor in self.dense.parameters("dense"):
-            self.params.add(name, tensor)
-
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        rows = self.doc_aware_rows(pair)
-        flat = rows.reshape(1, self.l_q * self.row_width)
-        return self.dense.rows(flat)[0]
+    return rows, max_kernel * k + 1
 
 
-class PacrrDrmm(_ConvRowsBase):
-    """Convolutional rows scored one at a time by a shared dense stack,
-    then combined linearly (no gating)."""
-
-    name = "pacrr-drmm"
-
-    def __init__(self, dim: int, rng, max_query_terms: int = 30,
-                 max_doc_terms: int = 300, max_kernel: int = 3,
-                 filters: int = 16, k: int = 2, hidden=()):
-        super().__init__(dim, rng, max_query_terms, max_doc_terms,
-                         max_kernel, filters, k)
-        self.row_mlp = Mlp(self.row_width, hidden, rng)
-        for name, tensor in self.row_mlp.parameters("row_mlp"):
-            self.params.add(name, tensor)
-        self.agg_w = self.params.add(
-            "agg.w", glorot_uniform(rng, self.l_q, 1, self.l_q))
-        self.agg_b = self.params.add("agg.b", np.zeros(()))
-
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        row_scores = self.row_mlp.rows(self.doc_aware_rows(pair))
-        return dot(self.agg_w, row_scores) + self.agg_b
+# ---------------------------------------------------------------------------
+# The registry: one builder per model, keyword arguments = hyperparameters
+# ---------------------------------------------------------------------------
 
 
-class _EncoderScorer(Scorer):
-    """Base for models that read context-sensitive term encodings."""
+def _drmm(dim: int, rng, buckets: int = 30, hidden=None,
+          gate_mode: str = "emb+idf") -> Scorer:
+    """Bucketed-cosine histograms under a gate.  Histograms are built outside
+    the graph: no gradient reaches the embeddings, only the head and gate."""
+    edges = histogram_edges(buckets)
 
-    def __init__(self, dim: int, rng, dropout: float = 0.0,
-                 trainable_embeddings: bool = False, emb_matrix=None):
-        super().__init__()
-        self.dim = dim
-        self.encoder = BiRnnEncoder(dim, rng, dropout)
-        self.encoder.register(self.params)
-        if trainable_embeddings:
-            if emb_matrix is None:
-                raise ConfigError(
-                    "trainable embeddings need the embedding matrix at build time")
-            self.emb = self.params.add("embeddings", emb_matrix.rows.copy())
+    def rows(model, pair, doc_state, dropout_rng):
+        hists = np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
+                          for q_vec in pair.q_emb])
+        return Tensor(np.log1p(hists))
 
-    def _q_vectors(self, pair: PairInput) -> Tensor:
-        if self.emb is not None:
-            return gather_rows(self.emb, pair.q_rows)
-        return Tensor(pair.q_emb)
-
-    def _d_vectors(self, pair: PairInput) -> Tensor:
-        if self.emb is not None:
-            return gather_rows(self.emb, pair.d_rows)
-        return Tensor(pair.d_emb)
-
-    def doc_state(self, pair: PairInput) -> np.ndarray:
-        return self.encoder.encode(self._d_vectors(pair)).data
-
-    def _contexts(self, pair, doc_state, dropout_rng):
-        q_ctx = self.encoder.encode(self._q_vectors(pair), dropout_rng)
-        if doc_state is not None:
-            d_ctx = Tensor(doc_state)
-        else:
-            d_ctx = self.encoder.encode(self._d_vectors(pair), dropout_rng)
-        return q_ctx, d_ctx
+    if hidden is None:
+        hidden = (buckets, buckets)
+    return _gated_head(Scorer(rows), "mlp", buckets, hidden, dim, rng, gate_mode)
 
 
-class AttentionDrmm(_EncoderScorer):
-    """Softmax attention over document encodings; the attended vector and
-    the q-term encoding meet in a normalized Hadamard product."""
+def _conv(aggregation: str):
+    """Builder of a PACRR model: convolutional rows, then either flattened
+    and scored by one dense stack (``"flat"``, pacrr) or scored one row at
+    a time by a shared stack and mixed linearly (``"linear"``, pacrr-drmm)."""
 
-    name = "attn-drmm"
-    multiview = False
+    def build(dim: int, rng, max_query_terms: int = 30,
+              max_doc_terms: int = 300, max_kernel: int = 3, filters: int = 16,
+              k: int = 2, hidden=()) -> Scorer:
+        model = Scorer()
+        model.rows_stage, width = _conv_rows(model, rng, max_query_terms,
+                                             max_doc_terms, max_kernel, filters, k)
+        model.aggregation = aggregation
+        if aggregation == "flat":
+            model.head = model.register(
+                "dense", Mlp(max_query_terms * width, hidden, rng))
+            return model
+        model.head = model.register("row_mlp", Mlp(width, hidden, rng))
+        model.params.add("agg.w", glorot_uniform(rng, max_query_terms, 1,
+                                                 max_query_terms))
+        model.params.add("agg.b", np.zeros(()))
+        return model
 
-    def __init__(self, dim: int, rng, hidden=None, gate_mode: str = "emb+idf",
-                 dropout: float = 0.0, trainable_embeddings: bool = False,
-                 emb_matrix=None):
-        super().__init__(dim, rng, dropout, trainable_embeddings, emb_matrix)
+    return build
+
+
+def _attention(views):
+    """Builder of a model that sums, over ``views``, the normalized Hadamard
+    product of each q-term and its attended document vector."""
+
+    def build(dim: int, rng, hidden=None, gate_mode: str = "emb+idf",
+              dropout: float = 0.0, trainable_embeddings: bool = False,
+              emb_matrix=None) -> Scorer:
         width = 2 * dim
+
+        def rows(model, pair, doc_state, dropout_rng):
+            phi = None
+            for view in views:
+                q, d = model.view(view, pair, doc_state, dropout_rng)
+                if view == "embedding":  # duplicated to the encodings' width
+                    q, d = concat([q, q], axis=1), concat([d, d], axis=1)
+                elif view == "exact":  # hashed one-hots
+                    q, d = (Tensor(v) for v in hashed_match_vectors(q, d, width))
+                signature = attended_match_vectors(q, d)
+                phi = signature if phi is None else phi + signature
+            return phi
+
+        model = _encoder_scorer(rows, dim, rng, dropout, trainable_embeddings,
+                                emb_matrix)
         if hidden is None:
             hidden = (width, width)
-        self.mlp = Mlp(width, hidden, rng)
-        for name, tensor in self.mlp.parameters("mlp"):
-            self.params.add(name, tensor)
-        self._init_gate(dim, rng, gate_mode)
+        return _gated_head(model, "mlp", width, hidden, dim, rng, gate_mode)
 
-    def _signatures(self, pair, doc_state, dropout_rng) -> Tensor:
-        q_ctx, d_ctx = self._contexts(pair, doc_state, dropout_rng)
-        phi = attended_match_vectors(q_ctx, d_ctx)
-        if self.multiview:
-            q_e = self._q_vectors(pair)
-            d_e = self._d_vectors(pair)
-            phi = phi + attended_match_vectors(concat([q_e, q_e], axis=1),
-                                               concat([d_e, d_e], axis=1))
-            q_h, d_h = hashed_match_vectors(pair.q_keys, pair.d_keys, 2 * self.dim)
-            phi = phi + attended_match_vectors(Tensor(q_h), Tensor(d_h))
-        return phi
-
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        rows = self.mlp.rows(self._signatures(pair, doc_state, dropout_rng))
-        return dot(self._gates(pair), rows)
+    return build
 
 
-class AttentionDrmmMv(AttentionDrmm):
-    """Attention variant summing three views: context-sensitive encodings,
-    duplicated raw embeddings, and hashed exact-match one-hots."""
+def _pooled(views):
+    """Builder of a model that pools each view's cosine rows to
+    <max, mean of k largest> per q-term, under a single linear layer."""
 
-    name = "attn-drmm-mv"
-    multiview = True
-
-
-class PooledCosineDrmm(_EncoderScorer):
-    """Cosine attention rows pooled to <max, mean of k largest> per q-term,
-    scored by a single linear layer under the gate."""
-
-    name = "pooled-drmm"
-    multiview = False
-
-    def __init__(self, dim: int, rng, k: int = 5, gate_mode: str = "emb+idf",
-                 dropout: float = 0.0, trainable_embeddings: bool = False,
-                 emb_matrix=None):
-        super().__init__(dim, rng, dropout, trainable_embeddings, emb_matrix)
+    def build(dim: int, rng, k: int = 5, gate_mode: str = "emb+idf",
+              dropout: float = 0.0, trainable_embeddings: bool = False,
+              emb_matrix=None) -> Scorer:
         if k < 1:
             raise ConfigError(f"pool depth must be >= 1, got {k}")
-        self.k = k
-        width = 6 if self.multiview else 2
-        self.dense = Mlp(width, (), rng)
-        for name, tensor in self.dense.parameters("dense"):
-            self.params.add(name, tensor)
-        self._init_gate(dim, rng, gate_mode)
 
-    def _signatures(self, pair, doc_state, dropout_rng) -> Tensor:
-        q_ctx, d_ctx = self._contexts(pair, doc_state, dropout_rng)
-        feats = max_kmax_pool(cosine_attention(q_ctx, d_ctx), self.k)
-        if self.multiview:
-            raw = cosine_attention(self._q_vectors(pair), self._d_vectors(pair))
-            exact = Tensor(equality_matrix(pair.q_keys, pair.d_keys))
-            feats = concat([feats, max_kmax_pool(raw, self.k),
-                            max_kmax_pool(exact, self.k)], axis=1)
-        return feats
+        def rows(model, pair, doc_state, dropout_rng):
+            feats = []
+            for view in views:
+                q, d = model.view(view, pair, doc_state, dropout_rng)
+                sims = (Tensor(equality_matrix(q, d)) if view == "exact"
+                        else cosine_attention(q, d))
+                feats.append(max_kmax_pool(sims, k))
+            return feats[0] if len(feats) == 1 else concat(feats, axis=1)
 
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        rows = self.dense.rows(self._signatures(pair, doc_state, dropout_rng))
-        return dot(self._gates(pair), rows)
+        model = _encoder_scorer(rows, dim, rng, dropout, trainable_embeddings,
+                                emb_matrix)
+        return _gated_head(model, "dense", 2 * len(views), (), dim, rng, gate_mode)
+
+    return build
 
 
-class PooledCosineDrmmMv(PooledCosineDrmm):
-    """Pooled-cosine variant with three views: context-sensitive encodings,
-    raw embeddings, and exact-match one-hots (6 features per q-term)."""
-
-    name = "pooled-drmm-mv"
-    multiview = True
-
-
-class CombinedScorer(Scorer):
-    """Linear mix of a base model score with the four extra features.
-
-    With no base model this is the BM25-plus-extra-features baseline.  The
-    base model's parameters are shared into this scorer's set, so one
-    optimizer trains everything jointly.
-    """
-
-    def __init__(self, base: Scorer | None):
-        super().__init__()
-        self.base = base
-        if base is not None:
-            self.name = base.name + "+extra"
-            for name, tensor in base.params.items():
-                self.params.add(name, tensor)
-            self.w_model = self.params.add("combine.w_model", np.ones(()))
-        else:
-            self.name = "bm25-extra"
-        self.w_extra = self.params.add("combine.w_extra", np.zeros(4))
-        self.bias = self.params.add("combine.b", np.zeros(()))
-
-    def doc_state(self, pair):
-        return self.base.doc_state(pair) if self.base is not None else None
-
-    def score(self, pair, doc_state=None, dropout_rng=None):
-        if pair.extra is None:
-            raise ConfigError(
-                f"model {self.name!r} needs extra features on every pair")
-        total = dot(self.w_extra, Tensor(pair.extra)) + self.bias
-        if self.base is not None:
-            total = total + self.base.score(pair, doc_state, dropout_rng) * self.w_model
-        return total
-
-
-_ARCHITECTURES = {
-    cls.name: cls
-    for cls in (HistogramDrmm, Pacrr, PacrrDrmm, AttentionDrmm,
-                AttentionDrmmMv, PooledCosineDrmm, PooledCosineDrmmMv)
+_BUILDERS = {
+    "drmm": _drmm,
+    "pacrr": _conv("flat"),
+    "pacrr-drmm": _conv("linear"),
+    "attn-drmm": _attention(("context",)),
+    "attn-drmm-mv": _attention(MULTIVIEW),
+    "pooled-drmm": _pooled(("context",)),
+    "pooled-drmm-mv": _pooled(MULTIVIEW),
 }
-
-BASELINE = "bm25-extra"
 
 
 def model_names() -> list[str]:
-    return sorted([*_ARCHITECTURES, BASELINE])
+    return sorted([*_BUILDERS, BASELINE])
 
 
 def build_model(name: str, dim: int, rng, extra_features: bool = False,
@@ -368,26 +325,39 @@ def build_model(name: str, dim: int, rng, extra_features: bool = False,
     """Construct a scorer by registry name.
 
     Unknown hyperparameter keys are rejected up front so config typos fail
-    loudly instead of silently using defaults.
+    loudly instead of silently using defaults.  ``extra_features`` adds the
+    linear mix with the extra features (``combine.*``) as the last stage.
     """
     if name == BASELINE:
         if hyper:
             raise ConfigError(
                 f"{BASELINE} takes no hyperparameters, got {sorted(hyper)}")
-        return CombinedScorer(None)
-    try:
-        cls = _ARCHITECTURES[name]
-    except KeyError:
-        raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
-    accepted = set(inspect.signature(cls.__init__).parameters) - {"self", "dim", "rng"}
-    unknown = set(hyper) - accepted
-    if unknown:
-        raise ConfigError(
-            f"unknown {name} hyperparameters {sorted(unknown)}; "
-            f"accepted: {sorted(accepted - {'emb_matrix'})}")
-    if hyper.get("trainable_embeddings"):
-        hyper = dict(hyper, emb_matrix=emb_matrix)
-    model = cls(dim, rng, **hyper)
-    if extra_features:
-        model = CombinedScorer(model)
+        model = Scorer()
+    else:
+        try:
+            builder = _BUILDERS[name]
+        except KeyError:
+            raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
+        accepted = set(inspect.signature(builder).parameters) - {"dim", "rng"}
+        unknown = set(hyper) - accepted
+        if unknown:
+            raise ConfigError(
+                f"unknown {name} hyperparameters {sorted(unknown)}; "
+                f"accepted: {sorted(accepted - {'emb_matrix'})}")
+        if hyper.get("trainable_embeddings"):
+            hyper = dict(hyper, emb_matrix=emb_matrix)
+        model = builder(dim, rng, **hyper)
+    model.name = name
+    if name == BASELINE or extra_features:
+        _add_extra(model)
     return model
+
+
+def _add_extra(model: Scorer) -> None:
+    """Mix the model score linearly with the four extra features."""
+    if model.rows_stage is not None:
+        model.name += "+extra"
+        model.params.add("combine.w_model", np.ones(()))
+    model.params.add("combine.w_extra", np.zeros(4))
+    model.params.add("combine.b", np.zeros(()))
+    model.extra = True

@@ -12,9 +12,8 @@ from __future__ import annotations
 from .autodiff import no_grad
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .models import CombinedScorer, ExtraFeatureBuilder, PairInput, Scorer, build_pair_input
+from .models import ExtraFeatureBuilder, PairInput, Scorer, build_pair_input
 from .models.interactions import cosine_attention, equality_matrix
-from .models.scorers import _EncoderScorer
 from .text import IdfTable, ProcessedDocument, ProcessedQuery
 from .trec import RankedList, ranked_list_from_scores
 
@@ -107,8 +106,7 @@ def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,
     document is truncated to ``doc_budget`` terms to keep the matrices
     readable.
     """
-    target = model.base if isinstance(model, CombinedScorer) else model
-    if not isinstance(target, _EncoderScorer):
+    if model.encoder is None:
         raise ConfigError(
             f"model {model.name!r} has no context encodings to inspect")
     if doc_budget < 1:
@@ -118,13 +116,10 @@ def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,
     truncated = ProcessedDocument(doc.doc_id, doc.terms[:doc_budget], doc.date)
     pair = build_pair_input(query, truncated, builder.emb, builder.idf)
     with no_grad():
-        q_ctx = target.encoder.encode(target._q_vectors(pair))
-        d_ctx = target.encoder.encode(target._d_vectors(pair))
-        context_view = cosine_attention(q_ctx, d_ctx).data
-        embedding_view = cosine_attention(target._q_vectors(pair),
-                                          target._d_vectors(pair)).data
-        exact_view = equality_matrix(pair.q_keys, pair.d_keys)
-        encodings = target._signatures(pair, None, None).data
+        context_view = cosine_attention(*model.view("context", pair)).data
+        embedding_view = cosine_attention(*model.view("embedding", pair)).data
+        exact_view = equality_matrix(*model.view("exact", pair))
+        encodings = model.rows(pair).data
     return {
         "query_id": query_id,
         "doc_id": doc_id,

@@ -279,10 +279,6 @@ class ProcessedDocument:
     terms: list[int]
     date: str | None = None
 
-    @property
-    def raw_length(self) -> int:
-        return len(self.terms)
-
 
 @dataclass
 class ProcessedQuery:

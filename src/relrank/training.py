@@ -277,9 +277,3 @@ def train(model, data: TrainData, config: TrainConfig,
     return TrainResult(best_params, best_epoch, best_map, records,
                        skipped_total, stopped_early, diverged, rejected_steps)
 
-
-def select_best_epoch(records: list[EpochRecord]) -> EpochRecord:
-    """Argmax of dev MAP; earlier epoch wins ties."""
-    if not records:
-        raise DataError("empty training log")
-    return max(records, key=lambda rec: (rec.dev_map, -rec.epoch))

@@ -7,10 +7,10 @@ so a run file round-trips exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DataError
+from .files import atomic_open, write_json
 
 
 @dataclass
@@ -115,7 +115,7 @@ def read_qrels(path) -> Qrels:
 
 
 def write_qrels(path, qrels: Qrels) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for qid, did, rel in qrels.items():
             fh.write(f"{qid} 0 {did} {rel}\n")
 
@@ -158,13 +158,10 @@ def write_run(path, ranked_lists, tag: str, metadata: dict | None = None) -> Non
     When ``metadata`` is given it lands in a ``<path>.meta.json`` sidecar,
     keeping the run file itself consumable by standard TREC tooling.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rl in ranked_lists:
             for cand in rl.entries:
                 fh.write(f"{rl.query_id} Q0 {cand.doc_id} {cand.rank} "
                          f"{cand.score!r} {tag}\n")
     if metadata is not None:
-        meta_path = str(path) + ".meta.json"
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(metadata, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(str(path) + ".meta.json", metadata)

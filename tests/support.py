@@ -1,16 +1,10 @@
-"""Shared plumbing for the model-level test suites.
-
-The scorers read their parameters through object attributes, so a generic
-finite-difference check has to re-point those attributes at the probe
-tensors.  ``install_param`` knows the attribute behind every registered
-parameter name; ``model_grad_check`` builds on it.
-"""
+"""Shared plumbing for the model-level test suites."""
 
 import numpy as np
 
 from relrank.autodiff import grad_check
 from relrank.embeddings import align_embeddings
-from relrank.models import CombinedScorer, PairInput
+from relrank.models import PairInput
 from relrank.rerank import PairBuilder
 from relrank.text import ProcessedDocument, ProcessedQuery, Vocabulary, compute_idf
 from relrank.training import TrainData
@@ -29,48 +23,6 @@ def make_pair(rng, n, m, dim, extra=False):
                      extra=rng.standard_normal(4) if extra else None)
 
 
-def _set_mlp(mlp, field, tensor):
-    idx = int(field[1:])
-    (mlp.weights if field[0] == "w" else mlp.biases)[idx] = tensor
-
-
-def install_param(model, name, tensor):
-    """Re-point the attribute backing a registered parameter."""
-    if isinstance(model, CombinedScorer):
-        if name == "combine.w_model":
-            model.w_model = tensor
-        elif name == "combine.w_extra":
-            model.w_extra = tensor
-        elif name == "combine.b":
-            model.bias = tensor
-        else:
-            install_param(model.base, name, tensor)
-        return
-    head, _, rest = name.partition(".")
-    if name == "gate.w":
-        model.w_gate = tensor
-    elif name == "embeddings":
-        model.emb = tensor
-    elif head == "mlp":
-        _set_mlp(model.mlp, rest, tensor)
-    elif head == "dense":
-        _set_mlp(model.dense, rest, tensor)
-    elif head == "row_mlp":
-        _set_mlp(model.row_mlp, rest, tensor)
-    elif head == "agg":
-        setattr(model, "agg_w" if rest == "w" else "agg_b", tensor)
-    elif head.startswith("conv"):
-        n = int(head[4:]) - 2
-        (model.conv_w if rest == "w" else model.conv_b)[n] = tensor
-    elif head == "encoder":
-        direction, field = rest.split(".")
-        cell = (model.encoder.forward_cell if direction == "fwd"
-                else model.encoder.backward_cell)
-        setattr(cell, field, tensor)
-    else:
-        raise KeyError(f"no attribute mapping for parameter {name!r}")
-
-
 def jitter_zero_params(model, rng, scale=0.1):
     """Move all-zero parameters off relu/max boundaries before FD checks."""
     for _, tensor in model.params.items():
@@ -79,16 +31,11 @@ def jitter_zero_params(model, rng, scale=0.1):
 
 
 def model_grad_check(model, pair, names=None, h=1e-4, tol=1e-4):
-    """Finite-difference check of d(score)/d(param) for the named parameters."""
+    """Finite-difference check of d(score)/d(param) for the named parameters,
+    perturbing the model's own parameter tensors in place."""
     chosen = list(names if names is not None else model.params.names())
-    arrays = [model.params[name].data.copy() for name in chosen]
-
-    def f(*tensors):
-        for name, tensor in zip(chosen, tensors):
-            install_param(model, name, tensor)
-        return model.score(pair)
-
-    return grad_check(f, arrays, h=h, tol=tol)
+    return grad_check(lambda *_: model.score(pair),
+                      [model.params[name] for name in chosen], h=h, tol=tol)
 
 
 def zero_encoder(model):

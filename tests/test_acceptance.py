@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from support import (install_param, jitter_zero_params, make_pair,
-                     model_grad_check, zero_encoder)
+from support import jitter_zero_params, make_pair, model_grad_check, zero_encoder
 
 from relrank.autodiff import Tensor
 from relrank.cli import main as cli_main
@@ -76,24 +75,29 @@ def fd_oracle_stable(model, pair, flagged, h=1e-4) -> bool:
     smooth across the whole probe window.  A relu kink inside the window
     leaves an O(1) gap between the h and h/2 estimates that no gradient,
     right or wrong, could match; such instances must be redrawn.  A wrong
-    analytic gradient still fails against the stable instances.
+    analytic gradient still fails against the stable instances.  Each probe
+    perturbs the model's own parameter tensor, which is restored exactly.
     """
     for name in flagged:
-        base = model.params[name].data.copy()
-        for j in range(base.size):
-            estimates = []
-            for step in (h, h / 2.0):
-                vals = []
-                for sign in (1.0, -1.0):
-                    probe = base.copy()
-                    probe.reshape(-1)[j] += sign * step
-                    install_param(model, name, Tensor(probe))
-                    vals.append(float(model.score(pair).data))
-                estimates.append((vals[0] - vals[1]) / (2.0 * step))
-            install_param(model, name, Tensor(base.copy()))
-            a, b = estimates
-            if abs(a - b) / max(1.0, abs(a), abs(b)) > 1e-6:
-                return False
+        tensor = model.params[name]
+        base = tensor.data
+        tensor.data = base.copy()
+        probe, start = tensor.data.reshape(-1), base.reshape(-1)
+        try:
+            for j in range(base.size):
+                estimates = []
+                for step in (h, h / 2.0):
+                    vals = []
+                    for sign in (1.0, -1.0):
+                        probe[j] = start[j] + sign * step
+                        vals.append(float(model.score(pair).data))
+                    estimates.append((vals[0] - vals[1]) / (2.0 * step))
+                probe[j] = start[j]
+                a, b = estimates
+                if abs(a - b) / max(1.0, abs(a), abs(b)) > 1e-6:
+                    return False
+        finally:
+            tensor.data = base
     return True
 
 
@@ -328,7 +332,7 @@ class TestAnchoredValues:
         for name, width in (("pooled-drmm", 2), ("pooled-drmm-mv", 6)):
             model = build_model(name, 4, np.random.default_rng(0))
             pair = make_pair(np.random.default_rng(1), 3, 5, 4)
-            sig = model._signatures(pair, None, None)
+            sig = model.rows(pair)
             if sig.data.shape != (3, width):
                 problems.append(f"{name} signature shape {sig.data.shape}")
 
@@ -376,7 +380,7 @@ class TestInvarianceSuite:
             seen = set()
             for m in (1, 5, 50):
                 pair = make_pair(rng, n, m, 3)
-                seen.add(model._signatures(pair, None, None).data.shape)
+                seen.add(model.rows(pair).data.shape)
             if seen != {(n, widths[name])}:
                 violations["width"] += 1
 

@@ -97,17 +97,16 @@ class TestSoftmax:
 class TestNormalization:
     def test_unit_norm(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = rng.normal(size=6)
-            y = ad.l2_normalize(Tensor(v))
-            assert abs(np.linalg.norm(y.data) - 1.0) < 1e-12
+        y = ad.l2_normalize_rows(Tensor(rng.normal(size=(20, 6))))
+        np.testing.assert_allclose(np.linalg.norm(y.data, axis=1), 1.0,
+                                   rtol=0, atol=1e-12)
 
     def test_zero_vector_passthrough(self):
-        x = Tensor(np.zeros(4))
-        y = ad.l2_normalize(x)
+        x = Tensor(np.zeros((2, 4)))
+        y = ad.l2_normalize_rows(x)
         (y.sum()).backward()
-        np.testing.assert_array_equal(y.data, np.zeros(4))
-        np.testing.assert_array_equal(x.grad, np.zeros(4))
+        np.testing.assert_array_equal(y.data, np.zeros((2, 4)))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 4)))
 
     def test_rows_variant_with_zero_row(self):
         m = np.array([[3.0, 4.0], [0.0, 0.0]])
@@ -119,12 +118,14 @@ class TestNormalization:
         np.testing.assert_array_equal(x.grad[1], [0.0, 0.0])
 
     def test_cosine_zero_norm_is_zero(self):
-        a = Tensor(np.zeros(3))
-        b = Tensor(np.ones(3))
-        c = ad.cosine(a, b)
+        # A cosine of normalized rows is 0 against a zero row, and no
+        # gradient reaches the other side through it.
+        a = Tensor(np.zeros((1, 3)))
+        b = Tensor(np.ones((1, 3)))
+        c = (ad.l2_normalize_rows(a) @ ad.l2_normalize_rows(b).T).sum()
         c.backward()
         assert c.data == 0.0
-        np.testing.assert_array_equal(b.grad, np.zeros(3))
+        np.testing.assert_array_equal(b.grad, np.zeros((1, 3)))
 
 
 class TestPooling:
@@ -272,6 +273,28 @@ class TestRandomGraphs:
 
         with pytest.raises(GradCheckError):
             grad_check(f, [np.ones(2)])
+
+
+class TestGradCheckInPlace:
+    def test_tensor_inputs_are_perturbed_in_place_and_restored(self):
+        # f ignores its arguments and reads the tensor through a closure,
+        # as a model reads its own parameters.
+        w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]))
+        original = w.data
+        before = original.copy()
+        x = Tensor(np.array([0.3, -0.7]))
+        rep = grad_check(lambda *_: (w @ x).tanh().sum(), [w, x])
+        assert rep.passed, rep
+        assert w.data is original
+        np.testing.assert_array_equal(w.data, before)
+
+    def test_wrong_gradient_through_a_tensor_input_fails(self):
+        w = Tensor(np.array([0.5, -1.0]))
+
+        def f(*_):
+            return Tensor(w.data * 2.0).sum()  # reads w outside the graph
+
+        assert not grad_check(f, [w]).passed
 
 
 class TestNoGrad:

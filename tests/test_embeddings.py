@@ -1,4 +1,4 @@
-"""Tests for word2vec IO, vocabulary alignment, and exact-match views."""
+"""Tests for word2vec IO, vocabulary alignment, and exact-match keys."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from relrank.embeddings import (
     EmbeddingFormatError,
     align_embeddings,
-    exact_match_vectors,
+    exact_match_keys,
     load_embeddings,
     read_word2vec,
     read_word2vec_binary,
@@ -15,6 +15,7 @@ from relrank.embeddings import (
     write_word2vec_text,
 )
 from relrank.errors import ConfigError
+from relrank.models.interactions import equality_matrix, hashed_match_vectors
 from relrank.text import OOV_ID, ProcessedDocument, ProcessedQuery, Vocabulary
 
 
@@ -138,25 +139,24 @@ class TestAlignment:
         np.testing.assert_allclose(got[3], matrix[7])
 
 
-def _cosine_matrix(a, b):
-    an = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), 1e-300)
-    bn = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), 1e-300)
-    return an @ bn.T
+def exact_view(query, doc):
+    """The exact-match view the models read: key equality, as a 0/1 matrix."""
+    return equality_matrix(*exact_match_keys(query, doc))
 
 
 class TestExactMatchView:
     def test_basic_orthogonality(self):
         q = ProcessedQuery("q", [0], ["a"])
         d = ProcessedDocument("d", [0, 1])
-        qv, dv = exact_match_vectors(q, d)
-        sim = _cosine_matrix(qv.vectors, dv.vectors)
-        np.testing.assert_allclose(sim, [[1.0, 0.0]])
+        np.testing.assert_array_equal(exact_view(q, d), [[1.0, 0.0]])
 
     def test_repeated_terms_identical(self):
         q = ProcessedQuery("q", [0, 0], ["a", "a"])
-        d = ProcessedDocument("d", [1])
-        qv, _ = exact_match_vectors(q, d)
-        np.testing.assert_array_equal(qv.vectors[0], qv.vectors[1])
+        d = ProcessedDocument("d", [1, 0])
+        q_keys, _ = exact_match_keys(q, d)
+        assert q_keys[0] == q_keys[1]
+        sim = exact_view(q, d)
+        np.testing.assert_array_equal(sim[0], sim[1])
 
     def test_similarity_equals_string_equality(self):
         rng = np.random.default_rng(37)
@@ -165,27 +165,26 @@ class TestExactMatchView:
             d_terms = rng.integers(0, 6, rng.integers(2, 12)).tolist()
             q = ProcessedQuery("q", q_terms, [f"t{t}" for t in q_terms])
             d = ProcessedDocument("d", d_terms)
-            qv, dv = exact_match_vectors(q, d)
-            sim = _cosine_matrix(qv.vectors, dv.vectors)
             want = np.array([[1.0 if qt == dt else 0.0 for dt in d_terms]
                              for qt in q_terms])
-            np.testing.assert_allclose(sim, want, atol=1e-12)
+            np.testing.assert_array_equal(exact_view(q, d), want)
 
     def test_unseen_query_terms_never_match(self):
         q = ProcessedQuery("q", [OOV_ID, OOV_ID, 0], ["new", "new", "a"])
         d = ProcessedDocument("d", [0, 1])
-        qv, dv = exact_match_vectors(q, d)
-        sim = _cosine_matrix(qv.vectors, dv.vectors)
-        np.testing.assert_allclose(sim[0], [0.0, 0.0])
-        # Same unseen token twice -> same one-hot.
-        np.testing.assert_array_equal(qv.vectors[0], qv.vectors[1])
-        np.testing.assert_allclose(sim[2], [1.0, 0.0])
+        sim = exact_view(q, d)
+        np.testing.assert_array_equal(sim[0], [0.0, 0.0])
+        # Same unseen token twice -> same key.
+        q_keys, _ = exact_match_keys(q, d)
+        assert q_keys[0] == q_keys[1]
+        np.testing.assert_array_equal(sim[2], [1.0, 0.0])
 
     def test_one_hot_shape_and_norm(self):
+        # The attention models fold the keys into hashed one-hots.
         q = ProcessedQuery("q", [0, 1], ["a", "b"])
         d = ProcessedDocument("d", [1, 2, 2])
-        qv, dv = exact_match_vectors(q, d)
-        assert qv.vectors.shape[1] == dv.vectors.shape[1] == 3
-        np.testing.assert_allclose(np.linalg.norm(qv.vectors, axis=1), 1.0)
-        np.testing.assert_allclose(np.linalg.norm(dv.vectors, axis=1), 1.0)
-        assert qv.tag == dv.tag == "exact_match"
+        qv, dv = hashed_match_vectors(*exact_match_keys(q, d), 6)
+        assert qv.shape == (2, 6) and dv.shape == (3, 6)
+        np.testing.assert_array_equal(np.linalg.norm(qv, axis=1), 1.0)
+        np.testing.assert_array_equal(np.linalg.norm(dv, axis=1), 1.0)
+        np.testing.assert_array_equal(qv[1], dv[0])

@@ -220,7 +220,7 @@ class TestGradients:
     def test_long_sequence_backward_no_recursion_blowup(self):
         rng = np.random.default_rng(14)
         enc = BiRnnEncoder(2, rng)
-        enc.register(params := ParameterSet())
+        params = ParameterSet(enc.parameters())
         x = Tensor(rng.standard_normal((300, 2)))
         out = enc.encode(x)
         loss = (out * out).sum()

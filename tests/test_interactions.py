@@ -5,17 +5,16 @@ import pytest
 
 from relrank.autodiff import Tensor, grad_check
 from relrank.errors import ConfigError
+from relrank.models import PairInput, build_model
 from relrank.models.interactions import (
     attended_match_vectors,
     cosine_attention,
     cosine_rows,
     drmm_histogram,
     equality_matrix,
-    gate_features,
     hashed_match_vectors,
     histogram_edges,
     max_kmax_pool,
-    pooled_pair,
     sim_matrix,
     softmax_idf,
     term_gate,
@@ -126,13 +125,20 @@ class TestTermGate:
     def test_gate_feature_modes(self):
         emb = np.arange(6.0).reshape(2, 3)
         idf = np.array([0.5, 1.5])
-        both = gate_features(emb, idf, "emb+idf")
-        np.testing.assert_array_equal(both, [[0, 1, 2, 0.5], [3, 4, 5, 1.5]])
-        np.testing.assert_array_equal(gate_features(emb, idf, "emb"), emb)
-        np.testing.assert_array_equal(gate_features(emb, idf, "idf"),
-                                      [[0.5], [1.5]])
-        with pytest.raises(ConfigError):
-            gate_features(emb, idf, "tf")
+        pair = PairInput("q", "d", emb, emb, idf, np.arange(2), np.arange(2),
+                         [], [])
+
+        def gate_inputs(mode):
+            model = build_model("drmm", 3, np.random.default_rng(0),
+                                gate_mode=mode)
+            return model.gate_inputs(pair).data
+
+        np.testing.assert_array_equal(gate_inputs("emb+idf"),
+                                      [[0, 1, 2, 0.5], [3, 4, 5, 1.5]])
+        np.testing.assert_array_equal(gate_inputs("emb"), emb)
+        np.testing.assert_array_equal(gate_inputs("idf"), [[0.5], [1.5]])
+        with pytest.raises(ConfigError, match="gate mode"):
+            build_model("drmm", 3, np.random.default_rng(0), gate_mode="tf")
 
 
 class TestSimMatrix:
@@ -257,38 +263,39 @@ class TestCosineAttention:
         assert np.all(got <= 1.0 + 1e-12) and np.all(got >= -1.0 - 1e-12)
 
 
+def pool_row(values, k):
+    """max_kmax_pool of a single score row, as a 2-vector."""
+    row = np.asarray(values, dtype=float)
+    return max_kmax_pool(Tensor(row.reshape(1, -1)), k).data[0]
+
+
 class TestPooling:
     def test_reference_example(self):
-        row = Tensor(np.array([0.9, 0.5, 0.1]))
-        np.testing.assert_allclose(pooled_pair(row, 2).data, [0.9, 0.7])
+        np.testing.assert_allclose(pool_row([0.9, 0.5, 0.1], 2), [0.9, 0.7])
 
     def test_k_one_degeneracy(self):
-        row = Tensor(np.array([0.3, 0.8, -0.2]))
-        np.testing.assert_allclose(pooled_pair(row, 1).data, [0.8, 0.8])
+        np.testing.assert_allclose(pool_row([0.3, 0.8, -0.2], 1), [0.8, 0.8])
 
     def test_k_equals_m_gives_mean(self):
         vals = np.array([0.4, -0.1, 0.6])
-        out = pooled_pair(Tensor(vals), 3).data
-        np.testing.assert_allclose(out, [0.6, vals.mean()])
+        np.testing.assert_allclose(pool_row(vals, 3), [0.6, vals.mean()])
 
     def test_k_larger_than_m_uses_all(self):
         vals = np.array([0.2, 0.9])
-        out = pooled_pair(Tensor(vals), 10).data
-        np.testing.assert_allclose(out, [0.9, vals.mean()])
+        np.testing.assert_allclose(pool_row(vals, 10), [0.9, vals.mean()])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pooled_pair(Tensor(np.zeros(0)), 2)
+            max_kmax_pool(Tensor(np.zeros((1, 0))), 2)
         with pytest.raises(ConfigError):
-            pooled_pair(Tensor(np.ones(3)), 0)
+            max_kmax_pool(Tensor(np.ones((1, 3))), 0)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(14)
         mat = rng.standard_normal((5, 7))
         batch = max_kmax_pool(Tensor(mat), 3).data
         for i in range(5):
-            row = pooled_pair(Tensor(mat[i]), 3).data
-            np.testing.assert_allclose(batch[i], row)
+            np.testing.assert_allclose(batch[i], pool_row(mat[i], 3))
 
     def test_gradient(self):
         rng = np.random.default_rng(15)

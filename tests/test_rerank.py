@@ -5,13 +5,7 @@ import pytest
 
 from relrank.autodiff import Tensor, no_grad
 from relrank.errors import ConfigError, DataError
-from relrank.models import (
-    HistogramDrmm,
-    PooledCosineDrmm,
-    PooledCosineDrmmMv,
-    build_model,
-    build_pair_input,
-)
+from relrank.models import build_model, build_pair_input
 from relrank.models.interactions import cosine_attention
 from relrank.rerank import inspect_interactions, rerank_candidates
 from relrank.trec import ranked_list_from_scores
@@ -71,7 +65,7 @@ class TestRerankCandidates:
 
     def test_matches_manual_scoring(self):
         data = world(seed=1)
-        model = PooledCosineDrmm(4, np.random.default_rng(2), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(2), k=2)
         runs = rerank_candidates(model, data.builder)
         by_query = {r.query_id: r for r in runs}
         with no_grad():
@@ -87,7 +81,7 @@ class TestRerankCandidates:
     def test_doc_state_cache_changes_nothing(self):
         # The cached path must agree bitwise with re-encoding per pair.
         data = world(seed=2)
-        model = PooledCosineDrmmMv(4, np.random.default_rng(3), k=2)
+        model = build_model("pooled-drmm-mv", 4, np.random.default_rng(3), k=2)
         runs = rerank_candidates(model, data.builder)
         with no_grad():
             for ranked in runs:
@@ -98,14 +92,14 @@ class TestRerankCandidates:
 
     def test_query_subset_selection(self):
         data = world(seed=3)
-        model = PooledCosineDrmm(4, np.random.default_rng(4), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(4), k=2)
         subset = {"q1": data.builder.candidates["q1"]}
         runs = rerank_candidates(model, data.builder, subset)
         assert [r.query_id for r in runs] == ["q1"]
 
     def test_output_lists_validate(self):
         data = world(seed=4)
-        model = PooledCosineDrmm(4, np.random.default_rng(5), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(5), k=2)
         for ranked in rerank_candidates(model, data.builder):
             ranked.validate()
 
@@ -113,7 +107,7 @@ class TestRerankCandidates:
 class TestInspectInteractions:
     def test_views_match_module_oracles(self):
         data = world(seed=5)
-        model = PooledCosineDrmm(4, np.random.default_rng(6), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(6), k=2)
         qid = "q0"
         did = data.builder.candidates[qid].doc_ids()[0]
         dump = inspect_interactions(model, data.builder, qid, did)
@@ -133,7 +127,7 @@ class TestInspectInteractions:
 
     def test_exact_view_is_binary_and_zero_without_overlap(self):
         data = world(seed=6)
-        model = PooledCosineDrmm(4, np.random.default_rng(7), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(7), k=2)
         rel = inspect_interactions(model, data.builder, "q0", "rel0-0")
         flat = [v for row in rel["views"]["exact"] for v in row]
         assert set(flat) <= {0.0, 1.0}
@@ -144,8 +138,8 @@ class TestInspectInteractions:
     def test_encoding_widths(self):
         data = world(seed=7)
         qid, did = "q1", "rel1-0"
-        plain = PooledCosineDrmm(4, np.random.default_rng(8), k=2)
-        multi = PooledCosineDrmmMv(4, np.random.default_rng(8), k=2)
+        plain = build_model("pooled-drmm", 4, np.random.default_rng(8), k=2)
+        multi = build_model("pooled-drmm-mv", 4, np.random.default_rng(8), k=2)
         assert np.asarray(inspect_interactions(
             plain, data.builder, qid, did)["encodings"]).shape[1] == 2
         assert np.asarray(inspect_interactions(
@@ -153,7 +147,7 @@ class TestInspectInteractions:
 
     def test_document_budget_truncates_columns(self):
         data = world(seed=8)
-        model = PooledCosineDrmm(4, np.random.default_rng(9), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(9), k=2)
         dump = inspect_interactions(model, data.builder, "q0", "rel0-0",
                                     doc_budget=2)
         assert dump["doc_terms_shown"] == 2
@@ -169,13 +163,13 @@ class TestInspectInteractions:
 
     def test_histogram_model_has_no_views(self):
         data = world(seed=10)
-        model = HistogramDrmm(4, np.random.default_rng(11), buckets=4)
+        model = build_model("drmm", 4, np.random.default_rng(11), buckets=4)
         with pytest.raises(ConfigError, match="inspect"):
             inspect_interactions(model, data.builder, "q0", "rel0-0")
 
     def test_budget_validation(self):
         data = world(seed=11)
-        model = PooledCosineDrmm(4, np.random.default_rng(12), k=2)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(12), k=2)
         with pytest.raises(ConfigError, match="budget"):
             inspect_interactions(model, data.builder, "q0", "rel0-0",
                                  doc_budget=0)

@@ -9,15 +9,13 @@ import pytest
 
 from relrank.autodiff import ParameterSet, Tensor
 from relrank.errors import ConfigError, DataError
-from relrank.models import PooledCosineDrmm, Scorer, build_model
+from relrank.models import Scorer, build_model
 from relrank.training import (
     AdamState,
-    EpochRecord,
     TrainConfig,
     adam_step,
     pairwise_loss,
     sample_instances,
-    select_best_epoch,
     train,
 )
 from relrank.trec import Qrels, ranked_list_from_scores
@@ -274,7 +272,7 @@ class TestTrainLoop:
     def test_separable_task_loss_shrinks(self):
         rng = np.random.default_rng(0)
         data = toy_world(rng, n_train=6, n_dev=2, dim=4)
-        model = PooledCosineDrmm(4, np.random.default_rng(1), k=3)
+        model = build_model("pooled-drmm", 4, np.random.default_rng(1), k=3)
         result = train(model, data, self.small_config(epochs=10))
         losses = [rec.train_loss for rec in result.log]
         window = 5
@@ -290,7 +288,7 @@ class TestTrainLoop:
         for _ in range(2):
             rng = np.random.default_rng(0)
             data = toy_world(rng, n_train=4, n_dev=2, dim=3)
-            model = PooledCosineDrmm(3, np.random.default_rng(1), k=2)
+            model = build_model("pooled-drmm", 3, np.random.default_rng(1), k=2)
             results.append(train(model, data, self.small_config()))
         a, b = results
         assert a.log_lines() == b.log_lines()
@@ -301,7 +299,7 @@ class TestTrainLoop:
     def test_best_checkpoint_is_dev_map_argmax(self):
         rng = np.random.default_rng(5)
         data = toy_world(rng, n_train=5, n_dev=3, dim=3)
-        model = PooledCosineDrmm(3, np.random.default_rng(2), k=2)
+        model = build_model("pooled-drmm", 3, np.random.default_rng(2), k=2)
         result = train(model, data, self.small_config(epochs=6))
         maps = [rec.dev_map for rec in result.log]
         assert result.best_dev_map == max(maps)
@@ -394,13 +392,3 @@ class TestTrainLoop:
         assert result.rejected_steps == 2 * batches
         np.testing.assert_array_equal(result.best_params["w"].data, 0.0)
 
-
-class TestBestEpochSelection:
-    def test_argmax_with_tie_goes_to_earlier_epoch(self):
-        records = [EpochRecord(1, 0.5, 0.30), EpochRecord(2, 0.4, 0.45),
-                   EpochRecord(3, 0.3, 0.45)]
-        assert select_best_epoch(records).epoch == 2
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(DataError, match="empty"):
-            select_best_epoch([])
