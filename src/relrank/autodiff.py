@@ -1,16 +1,26 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 Small, self-contained engine: a :class:`Tensor` wraps a numpy array, records
-the operation and parent tensors that produced it, and ``backward()`` walks
-the graph in reverse topological order accumulating gradients.  Everything is
-64-bit so finite-difference checks are crisp.
+the operation and parent tensors that produced it together with the op's
+backward rule, and ``backward()`` walks the graph in reverse topological
+order.  Everything is 64-bit so finite-difference checks are crisp.
 
 Conventions:
   * no implicit broadcasting between tensors -- binary ops require identical
     shapes; mixing with a Python scalar is allowed.  ``add_rowvec`` exists for
     the one row-plus-vector pattern dense layers need.
-  * gradients accumulate across ``backward()`` calls until ``zero_grad``;
-    a tensor never touched by backward reads as zero gradient.
+  * a backward rule maps the output's gradient to one array per parent,
+    shaped like that parent, and writes to no tensor; a rule that touches
+    few entries of a large parent (``gather_rows``, slicing) returns a
+    :class:`Scatter` instead, which the engine adds in place.  Rules
+    capture the arrays they need, never their output tensor, so a graph
+    holds no reference cycle and is freed as soon as nothing refers to its
+    root.
+  * ``backward()`` alone accumulates: interior gradients live only for the
+    duration of the pass, and only leaves (tensors without parents) keep
+    ``.grad``.  Leaf gradients accumulate across ``backward()`` calls until
+    ``zero_grad``, so running backward twice over one graph doubles them;
+    a tensor never reached reads as zero gradient.
   * ties in max/k-max go to the earlier index, and only selected positions
     receive gradient.
   * ``softmax`` subtracts the per-axis max before exponentiation.
@@ -63,20 +73,39 @@ def no_grad():
         _grad_enabled = prev
 
 
+class Scatter:
+    """A gradient that a rule returns in place of a dense array: ``values``
+    added at ``key`` of zeros shaped like the parent.  The engine adds it
+    into the parent's gradient with ``np.add.at``, so a few rows gathered
+    from a large embedding matrix cost only those rows."""
+
+    __slots__ = ("key", "values")
+
+    def __init__(self, key, values):
+        self.key, self.values = key, values
+
+
 class Tensor:
-    """A float64 array with a gradient slot and backward linkage."""
+    """A float64 array with a gradient slot and backward linkage.
+
+    ``backward`` is the op's rule: given the gradient of this tensor it
+    returns the gradients of ``parents``, one array or :class:`Scatter`
+    each, in order.
+    """
 
     __slots__ = ("data", "_grad", "op", "parents", "_backward")
 
-    def __init__(self, data, parents=(), op="leaf"):
+    def __init__(self, data, parents=(), op="leaf", backward=None):
         if isinstance(data, np.ndarray) and data.dtype == np.float64:
             self.data = data
         else:
             self.data = np.asarray(data, dtype=np.float64)
         self._grad = None
         self.op = op
-        self.parents = parents if _grad_enabled else ()
-        self._backward = None
+        if _grad_enabled:
+            self.parents, self._backward = parents, backward
+        else:
+            self.parents, self._backward = (), None
 
     # -- basic introspection -------------------------------------------------
 
@@ -94,7 +123,9 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        """Gradient of the last backward pass; zeros if never reached."""
+        """Gradient accumulated on this leaf by the backward passes since the
+        last ``zero_grad``; zeros if never reached, and always zeros for a
+        tensor with parents, whose gradient lives only during a pass."""
         if self._grad is None:
             self._grad = np.zeros_like(self.data)
         return self._grad
@@ -114,7 +145,7 @@ class Tensor:
     # -- graph machinery -----------------------------------------------------
 
     def backward(self):
-        """Accumulate d(self)/d(node) into every reachable node's grad.
+        """Add d(self)/d(leaf) into the grad of every reachable leaf.
 
         ``self`` must hold a single element (a scalar loss).
         """
@@ -135,74 +166,68 @@ class Tensor:
             for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        for node in topo:
-            if node._grad is None:
-                node._grad = np.zeros_like(node.data)
-        self._grad = self._grad + np.ones_like(self.data)
+        # Interior gradients by node id, each dropped once its rule has run.
+        # A rule may hand one array to several parents, so interior sums are
+        # never taken in place and a leaf copies the first array it gets
+        # (clip_grad_norm scales leaf gradients in place).
+        pending = {}
+
+        def receive(node, g):
+            if node.parents:
+                buf = pending.get(id(node))
+                if isinstance(g, Scatter):
+                    buf = np.zeros_like(node.data) if buf is None else buf.copy()
+                    np.add.at(buf, g.key, g.values)
+                else:
+                    buf = g if buf is None else buf + g
+                pending[id(node)] = buf
+            elif isinstance(g, Scatter):
+                if node._grad is None:
+                    node._grad = np.zeros_like(node.data)
+                np.add.at(node._grad, g.key, g.values)
+            elif node._grad is None:
+                node._grad = np.array(g, dtype=np.float64)
+            else:
+                node._grad += g
+
+        receive(self, np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward()
+            if node.parents:
+                grads = node._backward(pending.pop(id(node)))
+                for parent, g in zip(node.parents, grads):
+                    receive(parent, g)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other)
-            out = Tensor(self.data + other.data, (self, other), "add")
-            if out.parents:
-                def bw():
-                    self._grad += out._grad
-                    other._grad += out._grad
-                out._backward = bw
-            return out
-        out = Tensor(self.data + other, (self,), "add_scalar")
-        if out.parents:
-            def bw():
-                self._grad += out._grad
-            out._backward = bw
-        return out
+            return Tensor(self.data + other.data, (self, other), "add",
+                          lambda g: (g, g))
+        return Tensor(self.data + other, (self,), "add_scalar", lambda g: (g,))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,), "neg")
-        if out.parents:
-            def bw():
-                self._grad -= out._grad
-            out._backward = bw
-        return out
+        return Tensor(-self.data, (self,), "neg", lambda g: (-g,))
 
     def __sub__(self, other):
         if isinstance(other, Tensor):
             _same_shape(self, other)
-            out = Tensor(self.data - other.data, (self, other), "sub")
-            if out.parents:
-                def bw():
-                    self._grad += out._grad
-                    other._grad -= out._grad
-                out._backward = bw
-            return out
+            return Tensor(self.data - other.data, (self, other), "sub",
+                          lambda g: (g, -g))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.data
         if isinstance(other, Tensor):
             _same_shape(self, other)
-            out = Tensor(self.data * other.data, (self, other), "mul")
-            if out.parents:
-                def bw():
-                    self._grad += other.data * out._grad
-                    other._grad += self.data * out._grad
-                out._backward = bw
-            return out
-        out = Tensor(self.data * other, (self,), "mul_scalar")
-        if out.parents:
-            def bw():
-                self._grad += other * out._grad
-            out._backward = bw
-        return out
+            b = other.data
+            return Tensor(a * b, (self, other), "mul", lambda g: (b * g, a * g))
+        return Tensor(a * other, (self,), "mul_scalar", lambda g: (other * g,))
 
     __rmul__ = __mul__
 
@@ -214,59 +239,36 @@ class Tensor:
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             raise TypeError("matmul requires a Tensor operand")
-        a, b = self, other
-        out = Tensor(a.data @ b.data, (a, b), "matmul")
-        if out.parents:
-            def bw():
-                g = out._grad
-                if a.ndim == 2 and b.ndim == 2:
-                    a._grad += g @ b.data.T
-                    b._grad += a.data.T @ g
-                elif a.ndim == 2 and b.ndim == 1:
-                    a._grad += np.outer(g, b.data)
-                    b._grad += a.data.T @ g
-                elif a.ndim == 1 and b.ndim == 2:
-                    a._grad += b.data @ g
-                    b._grad += np.outer(a.data, g)
-                else:  # 1-D @ 1-D
-                    a._grad += g * b.data
-                    b._grad += g * a.data
-            out._backward = bw
-        return out
+        a, b = self.data, other.data
+
+        def rule(g):
+            if a.ndim == 2 and b.ndim == 2:
+                return g @ b.T, a.T @ g
+            if a.ndim == 2:
+                return np.outer(g, b), a.T @ g
+            if b.ndim == 2:
+                return b @ g, np.outer(a, g)
+            return g * b, g * a  # 1-D @ 1-D
+        return Tensor(a @ b, (self, other), "matmul", rule)
 
     # -- indexing / shaping --------------------------------------------------
 
     def __getitem__(self, key):
-        out = Tensor(self.data[key], (self,), "slice")
-        if out.parents:
-            basic = _is_basic_key(key)
-            def bw():
-                if basic:
-                    self._grad[key] += out._grad
-                else:
-                    np.add.at(self._grad, key, out._grad)
-            out._backward = bw
-        return out
+        return Tensor(self.data[key], (self,), "slice",
+                      lambda g: (Scatter(key, g),))
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = Tensor(self.data.reshape(shape), (self,), "reshape")
-        if out.parents:
-            def bw():
-                self._grad += out._grad.reshape(self.data.shape)
-            out._backward = bw
-        return out
+        old = self.data.shape
+        return Tensor(self.data.reshape(shape), (self,), "reshape",
+                      lambda g: (g.reshape(old),))
 
     def transpose(self):
         if self.ndim != 2:
             raise ValueError(f"transpose expects a 2-D tensor, got {self.shape}")
-        out = Tensor(self.data.T.copy(), (self,), "transpose")
-        if out.parents:
-            def bw():
-                self._grad += out._grad.T
-            out._backward = bw
-        return out
+        return Tensor(self.data.T.copy(), (self,), "transpose",
+                      lambda g: (g.T.copy(),))
 
     @property
     def T(self):
@@ -275,15 +277,15 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), (self,), "sum")
-        if out.parents:
-            def bw():
-                if axis is None:
-                    self._grad += out._grad
-                else:
-                    self._grad += np.expand_dims(out._grad, axis)
-            out._backward = bw
-        return out
+        shape = self.data.shape
+
+        def rule(g):
+            if axis is not None:
+                g = np.expand_dims(g, axis)
+            # A copy, not the zero-stride view: matmul rounds differently
+            # on a zero-stride operand.
+            return (np.broadcast_to(g, shape).copy(),)
+        return Tensor(self.data.sum(axis=axis), (self,), "sum", rule)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -291,25 +293,23 @@ class Tensor:
 
     def max(self, axis=None):
         """Maximum along ``axis`` (or of the whole tensor); first-max wins ties."""
+        shape = self.data.shape
         if axis is None:
-            idx = np.unravel_index(np.argmax(self.data), self.data.shape)
-            out = Tensor(self.data[idx], (self,), "max")
-            if out.parents:
-                def bw():
-                    self._grad[idx] += out._grad
-                out._backward = bw
-            return out
-        idx = np.argmax(self.data, axis=axis)
-        out = Tensor(np.take_along_axis(self.data, np.expand_dims(idx, axis), axis).squeeze(axis),
-                     (self,), "max")
-        if out.parents:
-            def bw():
-                buf = np.zeros_like(self.data)
-                np.put_along_axis(buf, np.expand_dims(idx, axis),
-                                  np.expand_dims(out._grad, axis), axis)
-                self._grad += buf
-            out._backward = bw
-        return out
+            idx = np.unravel_index(np.argmax(self.data), shape)
+
+            def rule(g):
+                buf = np.zeros(shape)
+                buf[idx] = g
+                return (buf,)
+            return Tensor(self.data[idx], (self,), "max", rule)
+        idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
+
+        def rule(g):
+            buf = np.zeros(shape)
+            np.put_along_axis(buf, idx, np.expand_dims(g, axis), axis)
+            return (buf,)
+        return Tensor(np.take_along_axis(self.data, idx, axis).squeeze(axis),
+                      (self,), "max", rule)
 
     def kmax(self, k):
         """The k largest values along the last axis, sorted descending.
@@ -322,63 +322,29 @@ class Tensor:
             raise ValueError("kmax needs k >= 1")
         if self.data.shape[-1] < k:
             raise ValueError(f"kmax k={k} exceeds axis length {self.data.shape[-1]}")
-        if self.ndim == 1:
-            order = np.argsort(-self.data, kind="stable")[:k]
-            out = Tensor(self.data[order], (self,), "kmax")
-            if out.parents:
-                def bw():
-                    np.add.at(self._grad, order, out._grad)
-                out._backward = bw
-            return out
-        if self.ndim == 2:
-            order = np.argsort(-self.data, axis=1, kind="stable")[:, :k]
-            out = Tensor(np.take_along_axis(self.data, order, axis=1), (self,), "kmax")
-            if out.parents:
-                def bw():
-                    buf = np.zeros_like(self.data)
-                    np.put_along_axis(buf, order, out._grad, axis=1)
-                    self._grad += buf
-                out._backward = bw
-            return out
-        raise ValueError("kmax supports 1-D and 2-D tensors only")
+        if self.ndim not in (1, 2):
+            raise ValueError("kmax supports 1-D and 2-D tensors only")
+        shape = self.data.shape
+        order = np.argsort(-self.data, axis=-1, kind="stable")[..., :k]
+
+        def rule(g):
+            buf = np.zeros(shape)
+            np.put_along_axis(buf, order, g, axis=-1)
+            return (buf,)
+        return Tensor(np.take_along_axis(self.data, order, axis=-1), (self,), "kmax", rule)
 
     # -- pointwise nonlinearities --------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,), "relu")
-        if out.parents:
-            def bw():
-                self._grad += (out.data > 0.0) * out._grad
-            out._backward = bw
-        return out
-
-    def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,), "sigmoid")
-        if out.parents:
-            def bw():
-                self._grad += out.data * (1.0 - out.data) * out._grad
-            out._backward = bw
-        return out
-
-    def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,), "tanh")
-        if out.parents:
-            def bw():
-                self._grad += (1.0 - out.data * out.data) * out._grad
-            out._backward = bw
-        return out
+        y = np.maximum(self.data, 0.0)
+        return Tensor(y, (self,), "relu", lambda g: ((y > 0.0) * g,))
 
     def softmax(self, axis=-1):
         z = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(z)
         y = e / e.sum(axis=axis, keepdims=True)
-        out = Tensor(y, (self,), "softmax")
-        if out.parents:
-            def bw():
-                g = out._grad
-                self._grad += y * (g - (g * y).sum(axis=axis, keepdims=True))
-            out._backward = bw
-        return out
+        return Tensor(y, (self,), "softmax",
+                      lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def _same_shape(a: Tensor, b: Tensor):
@@ -386,54 +352,36 @@ def _same_shape(a: Tensor, b: Tensor):
         raise ValueError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
-def _is_basic_key(key) -> bool:
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis for p in parts)
-
-
 # -- multi-tensor ops --------------------------------------------------------
 
 
 def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 tuple(tensors), "concat")
-    if out.parents:
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def bw():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                slc = [slice(None)] * out.data.ndim
-                slc[axis] = slice(lo, hi)
-                t._grad += out._grad[tuple(slc)]
-        out._backward = bw
-    return out
+    tensors = tuple(tensors)
+
+    def rule(g):
+        lead = (slice(None),) * (axis % g.ndim)
+        grads, lo = [], 0
+        for t in tensors:
+            hi = lo + t.data.shape[axis]
+            grads.append(g[lead + (slice(lo, hi),)])
+            lo = hi
+        return grads
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  tensors, "concat", rule)
 
 
 def stack(tensors, axis=0):
-    tensors = list(tensors)
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), tuple(tensors), "stack")
-    if out.parents:
-        def bw():
-            for i, t in enumerate(tensors):
-                slc = [slice(None)] * out.data.ndim
-                slc[axis] = i
-                t._grad += out._grad[tuple(slc)]
-        out._backward = bw
-    return out
+    tensors = tuple(tensors)
+    return Tensor(np.stack([t.data for t in tensors], axis=axis), tensors, "stack",
+                  lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 1 or b.ndim != 1:
         raise ValueError("dot expects 1-D tensors")
     _same_shape(a, b)
-    out = Tensor(np.dot(a.data, b.data), (a, b), "dot")
-    if out.parents:
-        def bw():
-            a._grad += out._grad * b.data
-            b._grad += out._grad * a.data
-        out._backward = bw
-    return out
+    x, y = a.data, b.data
+    return Tensor(np.dot(x, y), (a, b), "dot", lambda g: (g * y, g * x))
 
 
 def l2_normalize_rows(t: Tensor) -> Tensor:
@@ -444,27 +392,19 @@ def l2_normalize_rows(t: Tensor) -> Tensor:
     safe = np.where(norms == 0.0, 1.0, norms)
     y = t.data / safe
     y = np.where(norms == 0.0, 0.0, y)
-    out = Tensor(y, (t,), "l2_normalize_rows")
-    if out.parents:
-        def bw():
-            g = out._grad
-            contrib = (g - y * np.sum(g * y, axis=1, keepdims=True)) / safe
-            t._grad += np.where(norms == 0.0, 0.0, contrib)
-        out._backward = bw
-    return out
+
+    def rule(g):
+        contrib = (g - y * np.sum(g * y, axis=1, keepdims=True)) / safe
+        return (np.where(norms == 0.0, 0.0, contrib),)
+    return Tensor(y, (t,), "l2_normalize_rows", rule)
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
     """Add a length-c vector to every row of an (r, c) tensor."""
     if m.ndim != 2 or v.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
         raise ValueError(f"add_rowvec shapes {m.data.shape} and {v.data.shape}")
-    out = Tensor(m.data + v.data[None, :], (m, v), "add_rowvec")
-    if out.parents:
-        def bw():
-            m._grad += out._grad
-            v._grad += out._grad.sum(axis=0)
-        out._backward = bw
-    return out
+    return Tensor(m.data + v.data[None, :], (m, v), "add_rowvec",
+                  lambda g: (g, g.sum(axis=0)))
 
 
 def gather_rows(t: Tensor, indices) -> Tensor:
@@ -472,24 +412,15 @@ def gather_rows(t: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if np.any(idx < 0):
         raise ValueError("gather_rows requires non-negative indices")
-    out = Tensor(t.data[idx], (t,), "gather_rows")
-    if out.parents:
-        def bw():
-            np.add.at(t._grad, idx, out._grad)
-        out._backward = bw
-    return out
+    return Tensor(t.data[idx], (t,), "gather_rows", lambda g: (Scatter(idx, g),))
 
 
 def pad2d(t: Tensor, rows, cols) -> Tensor:
     """Zero-pad a 2-D tensor by (top, bottom) rows and (left, right) columns."""
     (top, bottom), (left, right) = rows, cols
-    out = Tensor(np.pad(t.data, ((top, bottom), (left, right))), (t,), "pad2d")
-    if out.parents:
-        h, w = t.data.shape
-        def bw():
-            t._grad += out._grad[top:top + h, left:left + w]
-        out._backward = bw
-    return out
+    h, w = t.data.shape
+    return Tensor(np.pad(t.data, ((top, bottom), (left, right))), (t,), "pad2d",
+                  lambda g: (g[top:top + h, left:left + w],))
 
 
 def conv2d(x: Tensor, filters: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -502,25 +433,22 @@ def conv2d(x: Tensor, filters: Tensor, bias: Tensor | None = None) -> Tensor:
     n = filters.data.shape[1]
     if n > min(x.data.shape):
         raise ValueError(f"kernel size {n} exceeds input {x.data.shape}")
+    w = filters.data
     windows = np.lib.stride_tricks.sliding_window_view(x.data, (n, n))
-    y = np.einsum("hwij,fij->fhw", windows, filters.data)
+    y = np.einsum("hwij,fij->fhw", windows, w)
     if bias is not None:
         y = y + bias.data[:, None, None]
+
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        gh, gw = g.shape[1], g.shape[2]
+        for i in range(n):
+            for j in range(n):
+                gx[i:i + gh, j:j + gw] += np.einsum("fhw,f->hw", g, w[:, i, j])
+        grads = (gx, np.einsum("hwij,fhw->fij", windows, g))
+        return grads if bias is None else grads + (g.sum(axis=(1, 2)),)
     parents = (x, filters) if bias is None else (x, filters, bias)
-    out = Tensor(y, parents, "conv2d")
-    if out.parents:
-        def bw():
-            g = out._grad
-            filters._grad += np.einsum("hwij,fhw->fij", windows, g)
-            if bias is not None:
-                bias._grad += g.sum(axis=(1, 2))
-            gh, gw = g.shape[1], g.shape[2]
-            for i in range(n):
-                for j in range(n):
-                    x._grad[i:i + gh, j:j + gw] += np.einsum(
-                        "fhw,f->hw", g, filters.data[:, i, j])
-        out._backward = bw
-    return out
+    return Tensor(y, parents, "conv2d", rule)
 
 
 # -- trainable parameter collections ----------------------------------------

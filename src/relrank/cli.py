@@ -194,8 +194,10 @@ def _train_one(cfg: PipelineConfig, world: _World, seed: int):
     _ensure_dir(cfg.checkpoints)
     ckpt = _checkpoint_path(cfg, model.name, seed)
     log_path = ckpt.with_suffix(".log.jsonl")
-    result = train(model, data, cfg.train_config(seed), log_path=log_path)
+    result = train(model, data, cfg.train_config(seed))
     save_params(ckpt, result.best_params)
+    with atomic_open(log_path) as fh:
+        fh.write(result.log_lines())
     inputs = dict(world.inputs,
                   train_split=cfg.train_split, dev_split=cfg.dev_split)
     meta = _meta(cfg, inputs, seed=seed, model=model.name,

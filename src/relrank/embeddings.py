@@ -167,9 +167,6 @@ class EmbeddingMatrix:
         ids = np.asarray(term_ids, dtype=np.int64)
         return np.where((ids >= 0) & (ids < self.oov_row), ids, self.oov_row)
 
-    def lookup(self, term_ids) -> np.ndarray:
-        return self.rows[self.resolve(term_ids)]
-
 
 def align_embeddings(tokens, matrix, vocabulary: Vocabulary) -> EmbeddingMatrix:
     """Map file rows onto vocabulary ids; absent terms share the mean vector."""

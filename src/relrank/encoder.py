@@ -48,7 +48,7 @@ class LstmCell:
     :meth:`run` is a single autodiff node with parents ``x @ w_in``,
     ``w_rec`` and ``bias``.  Its forward pass calls :meth:`step` once per
     token and saves the gates, the cell state and its tanh at every
-    position; its backward pass reads them back to run BPTT and adds into
+    position; its backward rule reads them back to run BPTT and returns
     the gradients of those three parents.
     """
 
@@ -101,35 +101,30 @@ class LstmCell:
             gates[pos], c, tanh_cells[pos], h = self.step(zx.data[pos], h, c)
             cells[pos] = c
             hidden[pos] = h
-        w_rec, bias = self.w_rec, self.bias
-        out = Tensor(hidden, (zx, w_rec, bias), "lstm")
-        if out.parents:
-            def bw():
-                i, f, o, g = (gates[:, k * d:(k + 1) * d] for k in range(4))
-                # d(z_t) = [dc, dc, dh, dc] * dz_factor[t], block by block.
-                dz_factor = np.concatenate([g * i * (1.0 - i),
-                                            _previous(cells, reverse) * f * (1.0 - f),
-                                            tanh_cells * o * (1.0 - o),
-                                            i * (1.0 - g * g)], axis=1)
-                dc_dh = o * (1.0 - tanh_cells * tanh_cells)
-                w_rec_t = w_rec.data.T
-                dz = np.empty((n, 4 * d))
-                dcdh = np.empty((4, d))  # rows [dc, dc, dh, dc]
-                dh_rec = np.zeros(d)
-                dc = np.zeros(d)
-                for pos in reversed(order):
-                    dh = out._grad[pos] + dh_rec
-                    dc = dc + dh * dc_dh[pos]
-                    dcdh[:] = dc
-                    dcdh[2] = dh
-                    dz_t = dz[pos] = dcdh.reshape(-1) * dz_factor[pos]
-                    dc = dc * f[pos]
-                    dh_rec = w_rec_t @ dz_t
-                zx._grad += dz
-                w_rec._grad += dz.T @ _previous(hidden, reverse)
-                bias._grad += dz.sum(axis=0)
-            out._backward = bw
-        return out
+        w_rec_t = self.w_rec.data.T
+
+        def rule(dhidden):
+            i, f, o, g = (gates[:, k * d:(k + 1) * d] for k in range(4))
+            # d(z_t) = [dc, dc, dh, dc] * dz_factor[t], block by block.
+            dz_factor = np.concatenate([g * i * (1.0 - i),
+                                        _previous(cells, reverse) * f * (1.0 - f),
+                                        tanh_cells * o * (1.0 - o),
+                                        i * (1.0 - g * g)], axis=1)
+            dc_dh = o * (1.0 - tanh_cells * tanh_cells)
+            dz = np.empty((n, 4 * d))
+            dcdh = np.empty((4, d))  # rows [dc, dc, dh, dc]
+            dh_rec = np.zeros(d)
+            dc = np.zeros(d)
+            for pos in reversed(order):
+                dh = dhidden[pos] + dh_rec
+                dc = dc + dh * dc_dh[pos]
+                dcdh[:] = dc
+                dcdh[2] = dh
+                dz_t = dz[pos] = dcdh.reshape(-1) * dz_factor[pos]
+                dc = dc * f[pos]
+                dh_rec = w_rec_t @ dz_t
+            return dz, dz.T @ _previous(hidden, reverse), dz.sum(axis=0)
+        return Tensor(hidden, (zx, self.w_rec, self.bias), "lstm", rule)
 
 
 class BiRnnEncoder:

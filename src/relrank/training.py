@@ -192,15 +192,13 @@ def dev_map(model, data: TrainData) -> float:
     return evaluate_run(run, data.dev_qrels, "dev").map
 
 
-def train(model, data: TrainData, config: TrainConfig,
-          log_path=None) -> TrainResult:
+def train(model, data: TrainData, config: TrainConfig) -> TrainResult:
     """Run the optimization and return the best-dev-MAP checkpoint.
 
     Divergence (a non-finite batch loss) stops training immediately and the
     last checkpoint that produced a finite dev MAP is returned.  A step that
     Adam rejects for a non-finite gradient leaves the parameters as they
-    were and is counted in ``rejected_steps``.  When
-    ``log_path`` is given, epoch records are appended there as JSON lines.
+    were and is counted in ``rejected_steps``.
     """
     rng = np.random.default_rng(config.seed)
     adam = AdamState(model.params, config.learning_rate)
@@ -213,65 +211,56 @@ def train(model, data: TrainData, config: TrainConfig,
     stopped_early = False
     diverged = False
     rejected_steps = 0
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
-        for epoch in range(1, config.epochs + 1):
-            started = time.perf_counter()
-            instances, skipped = sample_instances(
-                data.train_qrels, data.train_candidates, rng)
-            skipped_total = skipped
-            order = rng.permutation(len(instances))
-            total_loss = 0.0
-            for start in range(0, len(order), config.batch_size):
-                batch = order[start:start + config.batch_size]
-                model.params.zero_grad()
-                batch_loss = None
-                for index in batch:
-                    inst = instances[index]
-                    pos = data.builder.pair(inst.query_id, inst.positive)
-                    neg = data.builder.pair(inst.query_id, inst.negative)
-                    loss = pairwise_loss(
-                        model.score(pos, dropout_rng=rng),
-                        model.score(neg, dropout_rng=rng), config.margin)
-                    batch_loss = loss if batch_loss is None else batch_loss + loss
-                value = float(batch_loss.data) / len(batch)
-                if not np.isfinite(value):
-                    log.warning("training diverged at epoch %d: batch loss %r",
-                                epoch, value)
-                    diverged = True
-                    break
-                total_loss += value * len(batch)
-                if value > 0.0:
-                    (batch_loss * (1.0 / len(batch))).backward()
-                    model.params.clip_grad_norm(config.clip_norm)
-                    if not adam_step(model.params, adam):
-                        rejected_steps += 1
-            if diverged:
+    for epoch in range(1, config.epochs + 1):
+        started = time.perf_counter()
+        instances, skipped = sample_instances(
+            data.train_qrels, data.train_candidates, rng)
+        skipped_total = skipped
+        order = rng.permutation(len(instances))
+        total_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            model.params.zero_grad()
+            batch_loss = None
+            for index in batch:
+                inst = instances[index]
+                pos = data.builder.pair(inst.query_id, inst.positive)
+                neg = data.builder.pair(inst.query_id, inst.negative)
+                loss = pairwise_loss(
+                    model.score(pos, dropout_rng=rng),
+                    model.score(neg, dropout_rng=rng), config.margin)
+                batch_loss = loss if batch_loss is None else batch_loss + loss
+            value = float(batch_loss.data) / len(batch)
+            if not np.isfinite(value):
+                log.warning("training diverged at epoch %d: batch loss %r",
+                            epoch, value)
+                diverged = True
                 break
-            train_loss = total_loss / len(instances)
-            epoch_map = dev_map(model, data)
-            record = EpochRecord(epoch, train_loss, epoch_map)
-            records.append(record)
-            if log_file is not None:
-                log_file.write(json.dumps(record.to_json()) + "\n")
-                log_file.flush()
-            log.info("epoch %d: train_loss %.6f dev_map %.4f (%.1fs)",
-                     epoch, train_loss, epoch_map,
-                     time.perf_counter() - started)
-            if epoch_map > best_map:
-                best_map = epoch_map
-                best_epoch = epoch
-                best_params = model.params.copy()
-                stale_epochs = 0
-            else:
-                stale_epochs += 1
-                if stale_epochs >= config.patience:
-                    stopped_early = True
-                    log.info("stopping early after %d stale epochs", stale_epochs)
-                    break
-    finally:
-        if log_file is not None:
-            log_file.close()
+            total_loss += value * len(batch)
+            if value > 0.0:
+                (batch_loss * (1.0 / len(batch))).backward()
+                model.params.clip_grad_norm(config.clip_norm)
+                if not adam_step(model.params, adam):
+                    rejected_steps += 1
+        if diverged:
+            break
+        train_loss = total_loss / len(instances)
+        epoch_map = dev_map(model, data)
+        records.append(EpochRecord(epoch, train_loss, epoch_map))
+        log.info("epoch %d: train_loss %.6f dev_map %.4f (%.1fs)",
+                 epoch, train_loss, epoch_map,
+                 time.perf_counter() - started)
+        if epoch_map > best_map:
+            best_map = epoch_map
+            best_epoch = epoch
+            best_params = model.params.copy()
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= config.patience:
+                stopped_early = True
+                log.info("stopping early after %d stale epochs", stale_epochs)
+                break
     if best_epoch == 0:
         best_map = float("nan")
     return TrainResult(best_params, best_epoch, best_map, records,

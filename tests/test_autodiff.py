@@ -56,6 +56,23 @@ class TestBasicOps:
         (x * 2.0).backward()
         assert x.grad == 4.0
 
+    def test_second_backward_over_one_graph_doubles_leaf_gradient(self):
+        x = Tensor(1.0)
+        y = x * 2.0
+        z = y * 3.0
+        z.backward()
+        z.backward()
+        assert x.grad == 12.0
+
+    def test_array_handed_to_two_parents_is_not_summed_in_place(self):
+        # add returns (g, g); adding a's second gradient into that array in
+        # place would leak it into b.
+        x = Tensor(np.array([1.0, 2.0]))
+        a = x * 2.0
+        b = x * 3.0
+        ((a + b) + a).sum().backward()
+        np.testing.assert_array_equal(x.grad, [7.0, 7.0])
+
     def test_unreachable_tensor_reads_zero_grad(self):
         x = Tensor(np.ones(3))
         y = Tensor(np.ones(3))
@@ -211,6 +228,27 @@ class TestShaping:
         out.sum().backward()
         np.testing.assert_array_equal(m.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
+    def test_gather_rows_adds_into_the_leaf_gradient_row_by_row(self):
+        # Bitwise what np.add.at straight into the leaf's gradient gives:
+        # repeated rows add one after another onto what the leaf already
+        # holds, never summed apart first.
+        rng = np.random.default_rng(11)
+        emb = Tensor(rng.normal(size=(50, 4)))
+        expected = np.zeros((50, 4))
+        for _ in range(3):
+            idx = rng.integers(0, 10, size=40)
+            w = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))
+            (ad.gather_rows(emb, idx) * Tensor(w)).sum().backward()
+            np.add.at(expected, idx, w)
+        assert emb.grad.tobytes() == expected.tobytes()
+
+    def test_gather_rows_from_an_interior_tensor(self):
+        rng = np.random.default_rng(12)
+        rep = grad_check(
+            lambda m, w: (ad.gather_rows(m * 2.0, [1, 1, 0]) * w).sum() + (m * m).sum(),
+            [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))])
+        assert rep.passed, rep
+
     def test_gather_rows_rejects_negative(self):
         with pytest.raises(ValueError):
             ad.gather_rows(Tensor(np.zeros((2, 2))), [-1])
@@ -243,9 +281,9 @@ class TestRandomGraphs:
             u = rng.normal(size=4)
 
             def f(Wt, vt, ut):
-                h = (Wt @ vt).tanh()
+                h = ad.l2_normalize_rows((Wt @ vt).reshape(1, 4)).reshape(4)
                 s = h.softmax()
-                z = (s * ut).sigmoid()
+                z = ad.l2_normalize_rows((s * ut).reshape(1, 4)).reshape(4)
                 return ad.dot(z, h.relu()) + z.mean()
 
             rep = grad_check(f, [W, v, u])
@@ -283,7 +321,7 @@ class TestGradCheckInPlace:
         original = w.data
         before = original.copy()
         x = Tensor(np.array([0.3, -0.7]))
-        rep = grad_check(lambda *_: (w @ x).tanh().sum(), [w, x])
+        rep = grad_check(lambda *_: ad.dot((w @ x).softmax(), x), [w, x])
         assert rep.passed, rep
         assert w.data is original
         np.testing.assert_array_equal(w.data, before)
@@ -328,6 +366,18 @@ class TestParameterSet:
         norm = ps.clip_grad_norm(5.0)
         assert norm == pytest.approx(20.0)
         assert ps.grad_norm() == pytest.approx(5.0)
+
+    def test_leaves_never_share_a_gradient_buffer(self):
+        # add hands one array to both parents; each leaf must own a copy,
+        # or clipping would scale the shared buffer twice.
+        ps = ParameterSet()
+        a = ps.add("a", np.zeros(2))
+        b = ps.add("b", np.zeros(2))
+        (a + b).sum().backward()
+        assert a.grad is not b.grad
+        assert ps.clip_grad_norm(1.0) == pytest.approx(2.0)
+        np.testing.assert_allclose(a.grad, [0.5, 0.5], rtol=1e-15)
+        np.testing.assert_allclose(b.grad, [0.5, 0.5], rtol=1e-15)
 
     def test_checkpoint_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)

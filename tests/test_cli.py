@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from relrank import training
 from relrank.autodiff import save_params
 from relrank.cli import main
 from relrank.config import load_config
@@ -143,6 +144,24 @@ class TestTrainCommand:
         assert "queries skipped, 0 steps rejected -> " in capsys.readouterr().out
         assert trained.read_bytes() == before
         assert trained.with_suffix(".log.jsonl").read_bytes() == log_before
+
+    def test_interrupted_retrain_keeps_previous_log(self, ws, trained,
+                                                    monkeypatch):
+        log_path = trained.with_suffix(".log.jsonl")
+        before = log_path.read_bytes()
+        evals = []
+
+        def interrupt_second_epoch(model, data):
+            evals.append(1)
+            if len(evals) == 2:
+                raise KeyboardInterrupt
+            return 0.5
+
+        monkeypatch.setattr(training, "dev_map", interrupt_second_epoch)
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", ws.cfg])
+        assert len(evals) == 2
+        assert log_path.read_bytes() == before
 
     def test_missing_split_is_config_error(self, ws, capsys):
         assert main(["train", ws.cfg, "--set", "train_split=null"]) == 2

@@ -112,9 +112,9 @@ class TestAlignment:
         path.write_text("2 2\nalpha 1 2\nbeta 3 4\n")
         vocab = Vocabulary(["alpha", "gamma", "beta"])
         emb = load_embeddings(path, vocab)
-        np.testing.assert_array_equal(emb.lookup([vocab.id_of("alpha")])[0], [1, 2])
-        np.testing.assert_array_equal(emb.lookup([vocab.id_of("beta")])[0], [3, 4])
-        np.testing.assert_array_equal(emb.lookup([vocab.id_of("gamma")])[0], [2, 3])
+        ids = [vocab.id_of(t) for t in ("alpha", "beta", "gamma")]
+        np.testing.assert_array_equal(emb.rows[emb.resolve(ids)],
+                                      [[1, 2], [3, 4], [2, 3]])
         assert emb.covered == 2
         assert emb.rows.shape == (4, 2)
 
@@ -132,7 +132,7 @@ class TestAlignment:
         vocab = Vocabulary(tokens)
         emb = align_embeddings(tokens, matrix, vocab)
         ids = [3, 0, OOV_ID, 7]
-        got = emb.lookup(ids)
+        got = emb.rows[emb.resolve(ids)]
         np.testing.assert_allclose(got[0], matrix[3])
         np.testing.assert_allclose(got[1], matrix[0])
         np.testing.assert_allclose(got[2], matrix.mean(axis=0))

@@ -129,7 +129,7 @@ class TestWriteWorld:
             term_id = build.vocabulary.id_of(token)
             if term_id is None:
                 continue  # token never used by a document
-            row = emb.lookup([term_id])[0]
+            row = emb.rows[emb.resolve([term_id])][0]
             np.testing.assert_allclose(row, vec, atol=1e-6)
             hits += 1
         assert hits > 50
