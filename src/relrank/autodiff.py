@@ -50,7 +50,6 @@ __all__ = [
     "l2_normalize_rows",
     "add_rowvec",
     "gather_rows",
-    "pad2d",
     "conv2d",
     "grad_check",
     "save_params",
@@ -133,11 +132,6 @@ class Tensor:
     @grad.setter
     def grad(self, value):
         self._grad = None if value is None else np.asarray(value, dtype=np.float64)
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r})"
@@ -231,11 +225,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return self * (1.0 / other)
-
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             raise TypeError("matmul requires a Tensor operand")
@@ -291,17 +280,9 @@ class Tensor:
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
-    def max(self, axis=None):
-        """Maximum along ``axis`` (or of the whole tensor); first-max wins ties."""
+    def max(self, axis):
+        """Maximum along ``axis``; first-max wins ties."""
         shape = self.data.shape
-        if axis is None:
-            idx = np.unravel_index(np.argmax(self.data), shape)
-
-            def rule(g):
-                buf = np.zeros(shape)
-                buf[idx] = g
-                return (buf,)
-            return Tensor(self.data[idx], (self,), "max", rule)
         idx = np.expand_dims(np.argmax(self.data, axis=axis), axis)
 
         def rule(g):
@@ -415,39 +396,31 @@ def gather_rows(t: Tensor, indices) -> Tensor:
     return Tensor(t.data[idx], (t,), "gather_rows", lambda g: (Scatter(idx, g),))
 
 
-def pad2d(t: Tensor, rows, cols) -> Tensor:
-    """Zero-pad a 2-D tensor by (top, bottom) rows and (left, right) columns."""
-    (top, bottom), (left, right) = rows, cols
-    h, w = t.data.shape
-    return Tensor(np.pad(t.data, ((top, bottom), (left, right))), (t,), "pad2d",
-                  lambda g: (g[top:top + h, left:left + w],))
-
-
-def conv2d(x: Tensor, filters: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Valid 2-D correlation of an (H, W) input with (F, n, n) square filters.
+def conv2d(x: np.ndarray, filters: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Valid 2-D correlation of a constant (H, W) array with (F, n, n) square
+    filters.
 
     Returns (F, H-n+1, W-n+1); pad beforehand to preserve spatial size.
+    Only the filters and bias are differentiated, so the input is a plain
+    array and a Tensor input raises TypeError.
     """
+    if isinstance(x, Tensor):
+        raise TypeError("conv2d computes no input gradient; pass the input as an array")
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or filters.ndim != 3 or filters.data.shape[1] != filters.data.shape[2]:
         raise ValueError("conv2d expects a 2-D input and (F, n, n) filters")
     n = filters.data.shape[1]
-    if n > min(x.data.shape):
-        raise ValueError(f"kernel size {n} exceeds input {x.data.shape}")
-    w = filters.data
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (n, n))
-    y = np.einsum("hwij,fij->fhw", windows, w)
+    if n > min(x.shape):
+        raise ValueError(f"kernel size {n} exceeds input {x.shape}")
+    windows = np.lib.stride_tricks.sliding_window_view(x, (n, n))
+    y = np.einsum("hwij,fij->fhw", windows, filters.data)
     if bias is not None:
         y = y + bias.data[:, None, None]
 
     def rule(g):
-        gx = np.zeros_like(x.data)
-        gh, gw = g.shape[1], g.shape[2]
-        for i in range(n):
-            for j in range(n):
-                gx[i:i + gh, j:j + gw] += np.einsum("fhw,f->hw", g, w[:, i, j])
-        grads = (gx, np.einsum("hwij,fhw->fij", windows, g))
+        grads = (np.einsum("hwij,fhw->fij", windows, g),)
         return grads if bias is None else grads + (g.sum(axis=(1, 2)),)
-    parents = (x, filters) if bias is None else (x, filters, bias)
+    parents = (filters,) if bias is None else (filters, bias)
     return Tensor(y, parents, "conv2d", rule)
 
 
@@ -459,7 +432,7 @@ class ParameterSet:
 
     def __init__(self, items=()):
         self._params: dict[str, Tensor] = {}
-        for name, value in dict(items).items() if isinstance(items, dict) else items:
+        for name, value in items:
             self.add(name, value)
 
     def add(self, name: str, value) -> Tensor:
@@ -486,9 +459,6 @@ class ParameterSet:
 
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def zero_grad(self):
         for t in self._params.values():

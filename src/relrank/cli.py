@@ -112,16 +112,28 @@ def _checkpoint_path(cfg: PipelineConfig, model_name: str, seed: int) -> Path:
     return Path(cfg.checkpoints) / f"{model_name}-seed{seed}.rrcp"
 
 
-def _eval_query_ids(cfg: PipelineConfig, world: _World) -> list[str]:
+def _load_trained(cfg: PipelineConfig, world: _World, seed: int,
+                  checkpoint=None):
+    """The configured model with its trained parameters loaded from
+    ``checkpoint``, or from the path ``train`` writes for this seed."""
+    model = _build_model(cfg, world, seed)
+    ckpt = Path(checkpoint) if checkpoint else _checkpoint_path(cfg, model.name, seed)
+    if not ckpt.exists():
+        raise ConfigError(f"checkpoint not found: {ckpt} (run `train` first)")
+    model.params.load_from(load_params(ckpt))
+    return model, ckpt
+
+
+def _eval_query_ids(cfg: PipelineConfig, candidates: dict) -> list[str]:
     if cfg.eval_split is not None:
         cfg.require_inputs("eval_split")
         ids = read_split(cfg.eval_split)
-        missing = [q for q in ids if q not in world.candidates]
+        missing = [q for q in ids if q not in candidates]
         if missing:
             raise DataError(
                 f"eval split names queries without candidates: {missing[:5]}")
         return ids
-    return sorted(world.candidates)
+    return sorted(candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +243,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 def _rerank_one(cfg: PipelineConfig, world: _World, seed: int,
                 checkpoint=None, output=None):
     """Score the evaluation candidates with a trained checkpoint."""
-    model = _build_model(cfg, world, seed)
-    ckpt = Path(checkpoint) if checkpoint else _checkpoint_path(cfg, model.name, seed)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt} (run `train` first)")
-    model.params.load_from(load_params(ckpt))
-    ids = _eval_query_ids(cfg, world)
+    model, ckpt = _load_trained(cfg, world, seed, checkpoint)
+    ids = _eval_query_ids(cfg, world.candidates)
     ranked = rerank_candidates(model, world.builder,
                                {q: world.candidates[q] for q in ids})
     _ensure_dir(cfg.outputs)
@@ -252,12 +260,8 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
         cfg.require_inputs("qrels", "candidates")
         qrels = read_qrels(cfg.qrels)
         candidates = {rl.query_id: rl for rl in read_run(cfg.candidates_path)}
-        if cfg.eval_split is not None:
-            cfg.require_inputs("eval_split")
-            ids = read_split(cfg.eval_split)
-        else:
-            ids = sorted(candidates)
-        ranked = [oracle_rerank(candidates[q], qrels) for q in ids]
+        ranked = [oracle_rerank(candidates[q], qrels)
+                  for q in _eval_query_ids(cfg, candidates)]
         _ensure_dir(cfg.outputs)
         out = Path(args.output) if args.output else Path(cfg.outputs) / "oracle.run"
         write_run(out, ranked, tag="oracle",
@@ -322,12 +326,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 def cmd_inspect(cfg: PipelineConfig, args) -> int:
     world = _load_world(cfg)
     seed = cfg.seed if args.seed is None else args.seed
-    model = _build_model(cfg, world, seed)
-    ckpt = Path(args.checkpoint) if args.checkpoint else \
-        _checkpoint_path(cfg, model.name, seed)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt} (run `train` first)")
-    model.params.load_from(load_params(ckpt))
+    model, ckpt = _load_trained(cfg, world, seed, args.checkpoint)
     dump = inspect_interactions(model, world.builder, args.query_id,
                                 args.doc_id, doc_budget=args.budget)
     text = json.dumps(dump, indent=2, sort_keys=True)

@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .embeddings import FORMATS
 from .errors import ConfigError, DataError
 from .files import write_json
 from .training import TrainConfig
@@ -26,8 +27,7 @@ __all__ = [
 
 # Training keys that may appear in the "training" table; values fall back to
 # TrainConfig defaults (the seed always comes from the top-level field).
-_TRAINING_KEYS = ("epochs", "batch_size", "margin", "learning_rate",
-                  "patience", "clip_norm")
+_TRAINING_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 _PATH_FIELDS = ("corpus", "embeddings", "queries", "qrels", "index",
                 "checkpoints", "outputs", "candidates", "train_split",
@@ -76,7 +76,7 @@ class PipelineConfig:
                 f"n_candidates must be a positive integer, got {self.n_candidates!r}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.embedding_format not in ("text", "binary"):
+        if self.embedding_format not in FORMATS:
             raise ConfigError(
                 f"embedding_format must be 'text' or 'binary', "
                 f"got {self.embedding_format!r}")

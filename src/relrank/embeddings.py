@@ -55,7 +55,11 @@ def read_word2vec_text(path):
             if not line:
                 raise EmbeddingFormatError(
                     f"truncated file at byte {offset}: expected {count} entries, got {i}")
-            parts = line.decode("utf-8").split()
+            try:
+                parts = line.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise EmbeddingFormatError(
+                    f"entry {i} at byte {offset + exc.start}: invalid UTF-8")
             if len(parts) != dim + 1:
                 raise EmbeddingFormatError(
                     f"entry {i} at byte {offset}: expected {dim} values, "
@@ -92,13 +96,17 @@ def read_word2vec_binary(path):
                 if ch == b" ":
                     break
                 tok.extend(ch)
+            try:
+                tokens.append(tok.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise EmbeddingFormatError(
+                    f"entry {i} at byte {offset + exc.start}: invalid UTF-8")
             offset += len(tok) + 1
             raw = fh.read(vec_bytes)
             if len(raw) != vec_bytes:
                 raise EmbeddingFormatError(
                     f"truncated vector for entry {i} at byte {offset}: "
                     f"wanted {vec_bytes} bytes, got {len(raw)}")
-            tokens.append(tok.decode("utf-8"))
             matrix[i] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
             offset += vec_bytes
         if fh.read(1):
@@ -141,7 +149,7 @@ class EmbeddingMatrix:
 
     Holds len(vocabulary)+1 rows; the extra final row is the shared vector
     for every term without a pre-trained embedding (the mean of all loaded
-    vectors).  ``row_index`` maps any term id, including OOV_ID, onto a
+    vectors).  ``resolve`` maps any term id, including OOV_ID, onto a
     valid row, so downstream code never needs a special case.
     """
 
@@ -156,11 +164,6 @@ class EmbeddingMatrix:
     @property
     def oov_row(self) -> int:
         return self.rows.shape[0] - 1
-
-    def row_index(self, term_id: int) -> int:
-        if 0 <= term_id < self.oov_row:
-            return term_id
-        return self.oov_row
 
     def resolve(self, term_ids) -> np.ndarray:
         """Row indices for a term-id sequence, OOV ids mapped to the OOV row."""

@@ -24,6 +24,8 @@ B_DEFAULT = 0.75
 
 _MAGIC = b"RRIX"
 _VERSION = 1
+_META_TYPES = {"stemmer": str, "stopword_hash": str, "corpus_digest": str,
+               "doc_count": int, "vocab_size": int, "idf_doc_count": int}
 
 
 class IndexFormatError(DataError):
@@ -210,7 +212,11 @@ def _write_str(fh, s: str, fmt: str = "<H") -> None:
 
 def _read_str(r: _Reader, fmt: str = "<H") -> str:
     (n,) = r.unpack(fmt)
-    return r.read(n).decode("utf-8")
+    start = r.offset
+    try:
+        return r.read(n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"invalid UTF-8 at offset {start + exc.start}") from exc
 
 
 def save_index(index: InvertedIndex, path) -> None:
@@ -255,6 +261,12 @@ def load_index(path) -> InvertedIndex:
             meta = json.loads(r.read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IndexFormatError(f"corrupt metadata block: {exc}") from exc
+        if not (isinstance(meta, dict) and all(
+                isinstance(meta.get(k), t) for k, t in _META_TYPES.items())):
+            raise IndexFormatError(
+                f"corrupt metadata block: expected an object with string "
+                f"stemmer, stopword_hash, corpus_digest and integer doc_count, "
+                f"vocab_size, idf_doc_count")
         vocab = Vocabulary(_read_str(r) for _ in range(meta["vocab_size"]))
         doc_ids, lengths, dates = [], [], []
         for _ in range(meta["doc_count"]):

@@ -24,8 +24,6 @@ class ExtraFeatures:
         return np.array([self.bm25_z, self.exact_overlap,
                          self.idf_weighted_overlap, self.bigram_overlap])
 
-    WIDTH = 4
-
 
 class ExtraFeatureBuilder:
     """Features for documents within one query's candidate list.

@@ -24,7 +24,7 @@ import inspect
 
 import numpy as np
 
-from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows, pad2d
+from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError
 from .components import Mlp, glorot_uniform
@@ -189,13 +189,12 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
         # benchmark's tracer) sees every call.
         from ..autodiff import conv2d
 
-        sim = Tensor(sim_matrix(pair.q_emb, pair.d_emb, max_query_terms,
-                                max_doc_terms))
-        feats = [sim.kmax(k)]
+        sim = sim_matrix(pair.q_emb, pair.d_emb, max_query_terms, max_doc_terms)
+        feats = [Tensor(sim).kmax(k)]
         for n, w, b in convs:
             top = (n - 1) // 2
             bottom = n - 1 - top
-            padded = pad2d(sim, (top, bottom), (top, bottom))
+            padded = np.pad(sim, ((top, bottom), (top, bottom)))
             feats.append(conv2d(padded, w, b).relu().max(axis=0).kmax(k))
         feats.append(Tensor(softmax_idf(pair.q_idf, max_query_terms)[:, None]))
         return concat(feats, axis=1)

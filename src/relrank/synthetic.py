@@ -33,10 +33,6 @@ class SyntheticWorld:
     query_concepts: dict[str, list[int]]
     query_weights: dict[str, list[float]] = field(default_factory=dict)
 
-    def relevant_counts(self) -> dict[str, int]:
-        return {q["id"]: self.qrels.total_relevant(q["id"])
-                for q in self.queries}
-
 
 def _concept_token(concept: int, variant: int) -> str:
     # Trailing digits keep these tokens inert under suffix stemming.

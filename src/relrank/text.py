@@ -2,8 +2,8 @@
 
 Tokenization lowercases and splits on non-alphanumeric characters, keeping
 single-character tokens (dropping them would destroy terms like "vitamin d").
-Stopwords and the stemmer are pluggable; the shipped defaults are the English
-list under ``data/stopwords_en.txt`` and a Porter stemmer.
+Stopwords are the English list under ``data/stopwords_en.txt``; the stemmer
+is Porter's or none.
 """
 
 from __future__ import annotations
@@ -188,12 +188,6 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(line.strip() for line in text.splitlines() if line.strip())
 
 
-def load_stopwords(path) -> frozenset[str]:
-    """One token per line, UTF-8; blank lines ignored."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip() for line in fh if line.strip())
-
-
 def stopword_hash(stopwords) -> str:
     """Order-independent sha256 of a stopword set, recorded in index metadata."""
     canon = "\n".join(sorted(stopwords)).encode("utf-8")
@@ -219,10 +213,10 @@ def tokenize_and_normalize(text: str, stopwords, stemmer=porter_stem) -> list[st
 class TextPipeline:
     """The preprocessing configuration applied to every document and query."""
 
-    def __init__(self, stemmer: str = "porter", stopwords=None):
+    def __init__(self, stemmer: str = "porter"):
         self.stemmer_name = stemmer
         self.stem = get_stemmer(stemmer)
-        self.stopwords = frozenset(stopwords) if stopwords is not None else default_stopwords()
+        self.stopwords = default_stopwords()
 
     def process(self, text: str) -> list[str]:
         return tokenize_and_normalize(text, self.stopwords, self.stem)
@@ -257,9 +251,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         """Id for a token, or OOV_ID when unseen."""
         return self._ids.get(token, OOV_ID)
-
-    def token_of(self, tid: int) -> str:
-        return self._tokens[tid]
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -317,15 +308,6 @@ def idf_value(df: int, doc_count: int) -> float:
     return math.log(1.0 + (doc_count - df + 0.5) / (df + 0.5))
 
 
-def build_vocabulary(term_sequences) -> Vocabulary:
-    """Dense ids assigned in first-occurrence order over the given sequences."""
-    vocab = Vocabulary()
-    for seq in term_sequences:
-        for tok in seq:
-            vocab.add(tok)
-    return vocab
-
-
 def compute_idf(documents, vocab_size: int) -> IdfTable:
     """IDF over processed documents; every corpus term gets an entry."""
     documents = list(documents)
@@ -345,21 +327,8 @@ def compute_idf(documents, vocab_size: int) -> IdfTable:
 # ---------------------------------------------------------------------------
 
 
-def _doc_text(obj: dict, line_no: int, path) -> str:
-    if "text" in obj:
-        return obj["text"]
-    if "title" in obj or "abstract" in obj:
-        return " ".join(p for p in (obj.get("title"), obj.get("abstract")) if p)
-    raise DataError(f"{path}:{line_no}: document needs 'text' or 'title'/'abstract'")
-
-
-def iter_corpus(path):
-    """Yield (doc_id, text, date) from a JSON-lines corpus file.
-
-    Each line is an object with ``id`` plus either ``text`` or
-    ``title``/``abstract`` (document text is their concatenation), and an
-    optional ``date`` used for per-query cutoff filtering.
-    """
+def _json_objects(path):
+    """Yield (line number, object) for each non-blank line of a JSON-lines file."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -369,9 +338,35 @@ def iter_corpus(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if "id" not in obj:
-                raise DataError(f"{path}:{line_no}: document missing 'id'")
-            yield str(obj["id"]), _doc_text(obj, line_no, path), obj.get("date")
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{line_no}: expected a JSON object")
+            yield line_no, obj
+
+
+def _doc_text(obj: dict, line_no: int, path) -> str:
+    if "text" in obj:
+        parts = [obj["text"]]
+    elif "title" in obj or "abstract" in obj:
+        parts = [p for p in (obj.get("title"), obj.get("abstract")) if p is not None]
+    else:
+        raise DataError(f"{path}:{line_no}: document needs 'text' or 'title'/'abstract'")
+    if not all(isinstance(p, str) for p in parts):
+        raise DataError(f"{path}:{line_no}: document text fields must be strings")
+    return " ".join(p for p in parts if p)
+
+
+def iter_corpus(path):
+    """Yield (doc_id, text, date) from a JSON-lines corpus file.
+
+    Each line is an object with ``id`` plus either a string ``text`` or
+    ``title``/``abstract`` strings (document text is their concatenation;
+    null counts as absent), and an optional ``date`` used for per-query
+    cutoff filtering.
+    """
+    for line_no, obj in _json_objects(path):
+        if "id" not in obj:
+            raise DataError(f"{path}:{line_no}: document missing 'id'")
+        yield str(obj["id"]), _doc_text(obj, line_no, path), obj.get("date")
 
 
 class CorpusBuild:
@@ -418,19 +413,13 @@ def process_corpus(path, pipeline: TextPipeline) -> CorpusBuild:
 
 def iter_queries(path, cutoff_field: str | None = None):
     """Yield (query_id, text, cutoff) from a JSON-lines query file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if "id" not in obj or "text" not in obj:
-                raise DataError(f"{path}:{line_no}: query needs 'id' and 'text'")
-            cutoff = obj.get(cutoff_field) if cutoff_field else None
-            yield str(obj["id"]), obj["text"], cutoff
+    for line_no, obj in _json_objects(path):
+        if "id" not in obj or "text" not in obj:
+            raise DataError(f"{path}:{line_no}: query needs 'id' and 'text'")
+        if not isinstance(obj["text"], str):
+            raise DataError(f"{path}:{line_no}: query 'text' must be a string")
+        cutoff = obj.get(cutoff_field) if cutoff_field else None
+        yield str(obj["id"]), obj["text"], cutoff
 
 
 def process_queries(path, pipeline: TextPipeline, vocab: Vocabulary,

@@ -59,14 +59,6 @@ class TrainConfig:
         if self.clip_norm <= 0:
             raise ConfigError(f"clip norm must be positive, got {self.clip_norm}")
 
-    def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs, "batch_size": self.batch_size,
-            "margin": self.margin, "learning_rate": self.learning_rate,
-            "seed": self.seed, "patience": self.patience,
-            "clip_norm": self.clip_norm,
-        }
-
 
 def sample_instances(qrels: Qrels, candidates: dict[str, RankedList],
                      rng: np.random.Generator,

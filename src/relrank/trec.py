@@ -78,12 +78,6 @@ class Qrels:
     def relevant_docs(self, query_id: str) -> set[str]:
         return {d for d, r in self._rels.get(query_id, {}).items() if r > 0}
 
-    def total_relevant(self, query_id: str) -> int:
-        return sum(1 for r in self._rels.get(query_id, {}).values() if r > 0)
-
-    def query_ids(self) -> list[str]:
-        return list(self._rels)
-
     def __contains__(self, query_id: str) -> bool:
         return query_id in self._rels
 

@@ -32,7 +32,7 @@ from relrank.models.interactions import (attended_match_vectors,
 from relrank.rerank import PairBuilder, rerank_candidates
 from relrank.synthetic import generate_world, write_world
 from relrank.text import (ProcessedDocument, ProcessedQuery, TextPipeline,
-                          build_vocabulary, compute_idf, process_corpus,
+                          Vocabulary, compute_idf, process_corpus,
                           process_queries)
 from relrank.training import TrainConfig, TrainData, train
 from relrank.trec import Qrels, ranked_list_from_scores, read_qrels, read_run
@@ -207,7 +207,7 @@ class TestOracleEquivalences:
                 [tokens[int(t)] for t in
                  rng.integers(0, vocab_size, int(rng.integers(2, 10)))]
                 for _ in range(n_docs)]
-            vocab = build_vocabulary(token_docs)
+            vocab = Vocabulary(t for doc in token_docs for t in doc)
             docs = [ProcessedDocument(f"d{i:02d}",
                                       [vocab.id_of(t) for t in doc])
                     for i, doc in enumerate(token_docs)]

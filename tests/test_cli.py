@@ -223,6 +223,18 @@ class TestRerankCommand:
         write_run(manual, expected, tag=model.name)
         assert run_path.read_bytes() == manual.read_bytes()
 
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_eval_split_without_candidates_is_data_error(self, ws, trained,
+                                                          tmp_path, capsys, oracle):
+        split = tmp_path / "test.split"
+        split.write_text((ws.root / "test.split").read_text() + "qZZZ\n")
+        args = ["rerank", ws.cfg, "--set", f"eval_split={split}",
+                "--output", str(tmp_path / "out.run")]
+        assert main(args + ["--oracle"] * oracle) == 3
+        assert ("error[data]: eval split names queries without candidates: "
+                "['qZZZ']") in capsys.readouterr().err
+        assert not (tmp_path / "out.run").exists()
+
     def test_missing_checkpoint_is_config_error(self, ws, capsys):
         assert main(["rerank", ws.cfg, "--seed", "77"]) == 2
         assert "checkpoint not found" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from relrank.text import (
     ProcessedDocument,
     ProcessedQuery,
     Vocabulary,
-    build_vocabulary,
     compute_idf,
 )
 from relrank.trec import Qrels
@@ -27,7 +26,7 @@ from relrank.trec import Qrels
 
 def corpus_from_token_docs(token_docs, dates=None):
     """Build (documents, vocabulary, idf) from lists of token strings."""
-    vocab = build_vocabulary(token_docs.values())
+    vocab = Vocabulary(t for tokens in token_docs.values() for t in tokens)
     dates = dates or {}
     docs = [ProcessedDocument(doc_id, [vocab.id_of(t) for t in tokens],
                               dates.get(doc_id))
@@ -239,7 +238,7 @@ class TestOracleRerank:
         q = query_of(vocab, [f"t{k}" for k in rng.integers(0, 40, 3)])
         rl = retrieve_topn(q, index, n=30)
         rel = qrels.relevant_docs("q")
-        total = qrels.total_relevant("q")
+        total = len(rel)
         before = brute_force_ap(rl, rel, total)
         after = brute_force_ap(oracle_rerank(rl, qrels), rel, total)
         assert after >= before
@@ -324,6 +323,31 @@ class TestPersistence:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 5])
         with pytest.raises(IndexFormatError, match="offset"):
+            load_index(path)
+
+    @pytest.mark.parametrize("meta", [
+        b"{}", b"[]", b"null", b"7",
+        b'{"stemmer": "", "stopword_hash": "", "corpus_digest": "", '
+        b'"doc_count": 1, "idf_doc_count": 1}',
+        b'{"stemmer": "", "stopword_hash": "", "corpus_digest": "", '
+        b'"doc_count": 1, "vocab_size": "1", "idf_doc_count": 1}',
+    ])
+    def test_metadata_must_be_an_object_with_typed_keys(self, tmp_path, meta):
+        path = tmp_path / "m.idx"
+        path.write_bytes(b"RRIX" + (1).to_bytes(4, "little")
+                         + len(meta).to_bytes(4, "little") + meta)
+        with pytest.raises(IndexFormatError, match="corrupt metadata block"):
+            load_index(path)
+
+    def test_invalid_utf8_token_reports_offset(self, tmp_path):
+        docs, vocab, idf = corpus_from_token_docs({"d1": ["abc"]})
+        path = tmp_path / "u.idx"
+        save_index(build_index(docs, vocab, idf), path)
+        raw = bytearray(path.read_bytes())
+        at = raw.index(b"abc") + 1
+        raw[at] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IndexFormatError, match=f"invalid UTF-8 at offset {at}"):
             load_index(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -564,7 +564,7 @@ class TestCombinedScorer:
         assert model.params["mlp.w0"] is model.head.weights[0]
         names = model.params.names()
         assert names[-3:] == ["combine.w_model", "combine.w_extra", "combine.b"]
-        assert len(set(map(id, model.params.tensors()))) == len(names)
+        assert len({id(t) for _, t in model.params.items()}) == len(names)
 
     def test_missing_extra_features_rejected(self):
         model = build_model(BASELINE, 3, np.random.default_rng(0))

@@ -12,12 +12,10 @@ from relrank.text import (
     IdfTable,
     TextPipeline,
     Vocabulary,
-    build_vocabulary,
     compute_idf,
     default_stopwords,
     get_stemmer,
     idf_value,
-    load_stopwords,
     porter_stem,
     process_corpus,
     process_queries,
@@ -119,12 +117,8 @@ class TestTokenizer:
 
 
 class TestStopwords:
-    def test_hash_is_order_independent(self, tmp_path):
-        p1 = tmp_path / "a.txt"
-        p2 = tmp_path / "b.txt"
-        p1.write_text("the\nof\nand\n")
-        p2.write_text("and\nthe\nof\n")
-        assert stopword_hash(load_stopwords(p1)) == stopword_hash(load_stopwords(p2))
+    def test_hash_is_order_independent(self):
+        assert stopword_hash(["the", "of", "and"]) == stopword_hash(["and", "the", "of"])
 
     def test_hash_changes_with_content(self):
         assert stopword_hash({"the", "of"}) != stopword_hash({"the"})
@@ -138,7 +132,7 @@ class TestStopwords:
 
 class TestVocabulary:
     def test_first_occurrence_order(self):
-        vocab = build_vocabulary([["b", "a", "b"], ["c", "a"]])
+        vocab = Vocabulary(["b", "a", "b", "c", "a"])
         assert vocab.id_of("b") == 0
         assert vocab.id_of("a") == 1
         assert vocab.id_of("c") == 2
@@ -154,16 +148,16 @@ class TestVocabulary:
         tokens = [f"t{i}" for i in rng.permutation(200)]
         vocab = Vocabulary(tokens)
         for tok in set(tokens):
-            assert vocab.token_of(vocab.id_of(tok)) == tok
-        for tid in range(len(vocab)):
-            assert vocab.id_of(vocab.token_of(tid)) == tid
+            assert vocab.tokens()[vocab.id_of(tok)] == tok
+        for tid, tok in enumerate(vocab.tokens()):
+            assert vocab.id_of(tok) == tid
 
 
 class TestIdf:
     def test_closed_form_examples(self):
         # Three docs; term "a" in all three, "b" in one.
         docs = [["a", "b"], ["a"], ["a"]]
-        vocab = build_vocabulary(docs)
+        vocab = Vocabulary(t for d in docs for t in d)
         from relrank.text import ProcessedDocument
         processed = [ProcessedDocument(str(i), [vocab.id_of(t) for t in d])
                      for i, d in enumerate(docs)]
@@ -214,7 +208,7 @@ class TestCorpusIngestion:
         ])
         build = process_corpus(path, TextPipeline())
         assert [d.doc_id for d in build.documents] == ["d1", "d2"]
-        d1_terms = [build.vocabulary.token_of(t) for t in build.documents[0].terms]
+        d1_terms = [build.vocabulary.tokens()[t] for t in build.documents[0].terms]
         assert d1_terms == ["vitamin", "d", "bone", "health"]
 
     def test_empty_documents_skipped(self, tmp_path):
@@ -244,6 +238,26 @@ class TestCorpusIngestion:
         self._write(path, [{"text": "no id here"}])
         with pytest.raises(DataError, match="missing 'id'"):
             process_corpus(path, TextPipeline())
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "d1", "text": 5}', "text fields must be strings"),
+        ('{"id": "d1", "text": null}', "text fields must be strings"),
+        ('{"id": "d1", "title": 5, "abstract": "ok"}', "text fields must be strings"),
+        ('{"id": "d1", "title": "ok", "abstract": ["x"]}', "text fields must be strings"),
+        ('["d1", "text"]', "expected a JSON object"),
+        ("7", "expected a JSON object"),
+    ])
+    def test_malformed_line_is_data_error(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d0", "text": "aspirin"}\n' + line + "\n")
+        with pytest.raises(DataError, match=f":2: .*{message}"):
+            process_corpus(path, TextPipeline())
+
+    def test_null_title_counts_as_absent(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, [{"id": "d1", "title": None, "abstract": "Bone health."}])
+        build = process_corpus(path, TextPipeline())
+        assert len(build.documents[0].terms) == 2
 
     def test_dates_carried_through(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -292,3 +306,15 @@ class TestQueryIngestion:
         qpath.write_text(json.dumps({"id": "q"}) + "\n")
         with pytest.raises(DataError):
             process_queries(qpath, TextPipeline(), Vocabulary())
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "q1", "text": null}', "'text' must be a string"),
+        ('{"id": "q1", "text": 5}', "'text' must be a string"),
+        ('{"id": "q1", "text": ["aspirin"]}', "'text' must be a string"),
+        ('"q1 aspirin"', "expected a JSON object"),
+    ])
+    def test_malformed_line_is_data_error(self, tmp_path, line, message):
+        qpath = tmp_path / "queries.jsonl"
+        qpath.write_text('{"id": "q0", "text": "aspirin"}\n' + line + "\n")
+        with pytest.raises(DataError, match=f":2: .*{message}"):
+            process_queries(qpath, TextPipeline(), Vocabulary(["aspirin"]))

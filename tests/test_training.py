@@ -1,5 +1,6 @@
 """Tests for sampling, the hinge loss, Adam, and the training loop."""
 
+import dataclasses
 import gc
 import json
 import logging
@@ -215,7 +216,7 @@ class TestTrainConfig:
 
     def test_serialization_round_trip(self):
         config = TrainConfig(epochs=3, seed=7)
-        assert TrainConfig(**config.to_json()) == config
+        assert TrainConfig(**dataclasses.asdict(config)) == config
 
 
 class CountingScorer(Scorer):

@@ -62,9 +62,9 @@ class TestQrels:
         assert qrels.is_relevant("q1", "d1")
         assert not qrels.is_relevant("q1", "d2")
         assert not qrels.is_relevant("q1", "d9")
-        assert qrels.total_relevant("q1") == 1
+        assert qrels.relevant_docs("q1") == {"d1"}
         assert qrels.relevant_docs("q2") == {"d1"}
-        assert qrels.total_relevant("missing") == 0
+        assert qrels.relevant_docs("missing") == set()
 
     def test_duplicate_pair_rejected(self):
         qrels = Qrels()
