@@ -35,7 +35,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .files import atomic_open
+from .errors import DataError
+from .files import BinaryReader, atomic_open, write_str
 
 __all__ = [
     "Tensor",
@@ -247,8 +248,6 @@ class Tensor:
                       lambda g: (Scatter(key, g),))
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
         return Tensor(self.data.reshape(shape), (self,), "reshape",
                       lambda g: (g.reshape(old),))
@@ -505,8 +504,8 @@ _CKPT_MAGIC = b"RRCP"
 _CKPT_VERSION = 1
 
 
-class CheckpointError(Exception):
-    pass
+class CheckpointError(DataError):
+    """Raised when a checkpoint file cannot be decoded."""
 
 
 def save_params(path, params: ParameterSet):
@@ -514,9 +513,7 @@ def save_params(path, params: ParameterSet):
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(params)))
         for name, t in params.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+            write_str(fh, name)
             # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d.
             arr = np.asarray(t.data, dtype="<f8", order="C")
             fh.write(struct.pack("<B", arr.ndim))
@@ -526,33 +523,17 @@ def save_params(path, params: ParameterSet):
 
 
 def load_params(path) -> ParameterSet:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes")
-    version, count = struct.unpack_from("<II", blob, 4)
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    pos = 12
     params = ParameterSet()
-    try:
+    with BinaryReader(path, CheckpointError) as r:
+        r.header(_CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
+        (count,) = r.unpack("<I")
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = blob[pos:pos + nlen].decode("utf-8")
-            pos += nlen
-            (ndim,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, pos) if ndim else ()
-            pos += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(blob, dtype="<f8", count=n, offset=pos).reshape(shape)
-            pos += 8 * n
-            params.add(name, arr.copy())
-    except (struct.error, ValueError) as exc:
-        raise CheckpointError(f"{path}: truncated at byte {pos}") from exc
-    if pos != len(blob):
-        raise CheckpointError(f"{path}: trailing bytes at offset {pos}")
+            at, name = r.offset, r.string()
+            if name in params:
+                raise r.fail(f"duplicate parameter name {name!r}", at)
+            (ndim,) = r.unpack("<B")
+            params.add(name, r.array("<f8", r.unpack(f"<{ndim}I")))
+        r.end()
     return params
 
 

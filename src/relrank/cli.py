@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import CheckpointError, load_params, save_params
+from .autodiff import load_params, save_params
 from .config import PipelineConfig, load_config, read_split, write_meta
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .errors import ConfigError, DataError, RelrankError
@@ -124,16 +124,23 @@ def _load_trained(cfg: PipelineConfig, world: _World, seed: int,
     return model, ckpt
 
 
+def _eval_split(cfg: PipelineConfig) -> list[str] | None:
+    """The eval split's query ids, or None when the config names no split."""
+    if cfg.eval_split is None:
+        return None
+    cfg.require_inputs("eval_split")
+    return read_split(cfg.eval_split)
+
+
 def _eval_query_ids(cfg: PipelineConfig, candidates: dict) -> list[str]:
-    if cfg.eval_split is not None:
-        cfg.require_inputs("eval_split")
-        ids = read_split(cfg.eval_split)
-        missing = [q for q in ids if q not in candidates]
-        if missing:
-            raise DataError(
-                f"eval split names queries without candidates: {missing[:5]}")
-        return ids
-    return sorted(candidates)
+    ids = _eval_split(cfg)
+    if ids is None:
+        return sorted(candidates)
+    missing = [q for q in ids if q not in candidates]
+    if missing:
+        raise DataError(
+            f"eval split names queries without candidates: {missing[:5]}")
+    return ids
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +247,10 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _rerank_one(cfg: PipelineConfig, world: _World, seed: int,
+def _rerank_one(cfg: PipelineConfig, world: _World, seed: int, ids,
                 checkpoint=None, output=None):
-    """Score the evaluation candidates with a trained checkpoint."""
+    """Score the candidates of queries ``ids`` with a trained checkpoint."""
     model, ckpt = _load_trained(cfg, world, seed, checkpoint)
-    ids = _eval_query_ids(cfg, world.candidates)
     ranked = rerank_candidates(model, world.builder,
                                {q: world.candidates[q] for q in ids})
     _ensure_dir(cfg.outputs)
@@ -271,7 +277,8 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
         return 0
     world = _load_world(cfg)
     seed = cfg.seed if args.seed is None else args.seed
-    model, out, ranked = _rerank_one(cfg, world, seed,
+    ids = _eval_query_ids(cfg, world.candidates)
+    model, out, ranked = _rerank_one(cfg, world, seed, ids,
                                      checkpoint=args.checkpoint,
                                      output=args.output)
     print(f"reranked {len(ranked)} queries with {model.name} "
@@ -279,10 +286,10 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _evaluate_file(cfg: PipelineConfig, run_path, qrels: Qrels) -> MetricsReport:
+def _evaluate_file(run_path, qrels: Qrels, split: list[str] | None) -> MetricsReport:
     lists = read_run(run_path)
-    if cfg.eval_split is not None:
-        keep = set(read_split(cfg.eval_split))
+    if split is not None:
+        keep = set(split)
         lists = [rl for rl in lists if rl.query_id in keep]
     return evaluate_run(lists, qrels, run_tag=Path(run_path).stem)
 
@@ -293,17 +300,15 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
         if not Path(run_path).exists():
             raise ConfigError(f"run file not found: {run_path}")
     qrels = read_qrels(cfg.qrels)
-    if cfg.eval_split is not None:
-        cfg.require_inputs("eval_split")
-        qrels = _subset_qrels(qrels, read_split(cfg.eval_split))
-    report = _evaluate_file(cfg, args.run, qrels)
+    split = _eval_split(cfg)
+    report = _evaluate_file(args.run, qrels, split)
     print(report.format_table())
     _ensure_dir(cfg.outputs)
     out = Path(cfg.outputs) / f"{Path(args.run).stem}.metrics.json"
     payload = report.to_json()
     inputs = {"qrels": cfg.qrels, "run": args.run}
     if args.baseline:
-        base = _evaluate_file(cfg, args.baseline, qrels)
+        base = _evaluate_file(args.baseline, qrels, split)
         print()
         print(base.format_table())
         sig = stratified_shuffle_test(
@@ -392,18 +397,15 @@ def cmd_repeat(cfg: PipelineConfig, args) -> int:
     """Train, rerank, and evaluate the configured model over several seeds."""
     if args.seeds < 1:
         raise ConfigError(f"need at least one seed, got {args.seeds}")
-    cfg.require_inputs("qrels")
     world = _load_world(cfg)
+    ids = _eval_query_ids(cfg, world.candidates)
     seeds = [cfg.seed + i for i in range(args.seeds)]
-    qrels = world.qrels
-    if cfg.eval_split is not None:
-        qrels = _subset_qrels(qrels, read_split(cfg.eval_split))
     per_seed = {}
     run_paths = {}
     for seed in seeds:
         model, result, _ = _train_one(cfg, world, seed)
-        model, out, ranked = _rerank_one(cfg, world, seed)
-        report = evaluate_run(ranked, qrels, run_tag=f"{model.name}-seed{seed}")
+        model, out, ranked = _rerank_one(cfg, world, seed, ids)
+        report = evaluate_run(ranked, world.qrels, run_tag=f"{model.name}-seed{seed}")
         per_seed[seed] = {name: report.mean(name)
                           for name in MetricsReport.METRICS}
         run_paths[seed] = str(out)
@@ -519,9 +521,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         return _HANDLERS[args.command](cfg, args)
-    except CheckpointError as exc:
-        print(f"error[data]: {exc}", file=sys.stderr)
-        return 3
     except RelrankError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 3

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .embeddings import FORMATS
 from .errors import ConfigError, DataError
-from .files import write_json
+from .files import read_lines, write_json
 from .training import TrainConfig
 
 __all__ = [
@@ -153,7 +153,7 @@ def load_config(path, overrides=()) -> PipelineConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -178,15 +178,11 @@ def read_split(path) -> list[str]:
     """Read one query id per line; blank lines are skipped."""
     ids = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            qid = line.strip()
-            if not qid:
-                continue
-            if qid in seen:
-                raise DataError(f"{path}:{line_no}: duplicate query id {qid!r}")
-            seen.add(qid)
-            ids.append(qid)
+    for line_no, qid in read_lines(path):
+        if qid in seen:
+            raise DataError(f"{path}:{line_no}: duplicate query id {qid!r}")
+        seen.add(qid)
+        ids.append(qid)
     if not ids:
         raise DataError(f"{path}: split file lists no query ids")
     return ids

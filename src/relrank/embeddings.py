@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import BinaryReader
 from .text import OOV_ID, Vocabulary
 
 FORMATS = ("text", "binary")
@@ -25,92 +26,51 @@ class EmbeddingFormatError(DataError):
 # ---------------------------------------------------------------------------
 
 
-def _parse_header(line: bytes, offset: int):
-    parts = line.decode("utf-8", errors="replace").split()
+def _read_header(r: BinaryReader):
+    """Parse the ``vocab_size dim`` line; return both and the matrix to fill."""
+    line = r.line()
+    parts = line.split()
     if len(parts) != 2:
-        raise EmbeddingFormatError(
-            f"bad header at byte {offset}: expected 'vocab_size dim', got {line!r}")
+        raise r.fail(f"bad header {line!r}: expected 'vocab_size dim'", 0)
     try:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
-        raise EmbeddingFormatError(
-            f"bad header at byte {offset}: non-integer field in {line!r}")
+        raise r.fail(f"bad header {line!r}: non-integer field", 0) from None
     if count < 1 or dim < 1:
-        raise EmbeddingFormatError(
-            f"bad header at byte {offset}: counts must be positive, got {line!r}")
-    return count, dim
+        raise r.fail(f"bad header {line!r}: counts must be positive", 0)
+    if count * dim > r.size:  # every value takes at least one byte
+        raise r.fail(f"bad header {line!r}: more values than the file holds", 0)
+    return count, dim, np.empty((count, dim), dtype=np.float64)
 
 
 def read_word2vec_text(path):
     """Parse the text encoding into (tokens, float64 matrix)."""
     tokens = []
-    with open(path, "rb") as fh:
-        offset = 0
-        header = fh.readline()
-        count, dim = _parse_header(header.strip(), offset)
-        offset += len(header)
-        matrix = np.empty((count, dim), dtype=np.float64)
-        for i in range(count):
-            line = fh.readline()
-            if not line:
-                raise EmbeddingFormatError(
-                    f"truncated file at byte {offset}: expected {count} entries, got {i}")
-            try:
-                parts = line.decode("utf-8").split()
-            except UnicodeDecodeError as exc:
-                raise EmbeddingFormatError(
-                    f"entry {i} at byte {offset + exc.start}: invalid UTF-8")
+    with BinaryReader(path, EmbeddingFormatError) as r:
+        count, dim, matrix = _read_header(r)
+        for r.entry in range(count):
+            start = r.offset
+            parts = r.line().split()
             if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"entry {i} at byte {offset}: expected {dim} values, "
-                    f"got {len(parts) - 1}")
+                raise r.fail(f"expected {dim} values, got {len(parts) - 1}", start)
             tokens.append(parts[0])
             try:
-                matrix[i] = [float(v) for v in parts[1:]]
+                matrix[r.entry] = [float(v) for v in parts[1:]]
             except ValueError:
-                raise EmbeddingFormatError(
-                    f"entry {i} at byte {offset}: non-numeric value")
-            offset += len(line)
-        if fh.read(1):
-            raise EmbeddingFormatError(f"trailing data at byte {offset}")
+                raise r.fail("non-numeric value", start) from None
+        r.end()
     return tokens, matrix
 
 
 def read_word2vec_binary(path):
     """Parse the binary encoding into (tokens, float64 matrix)."""
     tokens = []
-    with open(path, "rb") as fh:
-        offset = 0
-        header = fh.readline()
-        count, dim = _parse_header(header.strip(), offset)
-        offset += len(header)
-        matrix = np.empty((count, dim), dtype=np.float64)
-        vec_bytes = 4 * dim
-        for i in range(count):
-            tok = bytearray()
-            while True:
-                ch = fh.read(1)
-                if not ch:
-                    raise EmbeddingFormatError(
-                        f"truncated token for entry {i} at byte {offset + len(tok)}")
-                if ch == b" ":
-                    break
-                tok.extend(ch)
-            try:
-                tokens.append(tok.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise EmbeddingFormatError(
-                    f"entry {i} at byte {offset + exc.start}: invalid UTF-8")
-            offset += len(tok) + 1
-            raw = fh.read(vec_bytes)
-            if len(raw) != vec_bytes:
-                raise EmbeddingFormatError(
-                    f"truncated vector for entry {i} at byte {offset}: "
-                    f"wanted {vec_bytes} bytes, got {len(raw)}")
-            matrix[i] = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-            offset += vec_bytes
-        if fh.read(1):
-            raise EmbeddingFormatError(f"trailing data at byte {offset}")
+    with BinaryReader(path, EmbeddingFormatError) as r:
+        count, dim, matrix = _read_header(r)
+        for r.entry in range(count):
+            tokens.append(r.line(b" ", "token"))
+            matrix[r.entry] = r.array("<f4", (dim,))
+        r.end()
     return tokens, matrix
 
 

@@ -130,10 +130,7 @@ class LstmCell:
 class BiRnnEncoder:
     """Residual bidirectional encoder over per-position embedding vectors."""
 
-    def __init__(self, dim: int, rng: np.random.Generator | None = None,
-                 dropout: float = 0.0):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, dim: int, rng: np.random.Generator, dropout: float = 0.0):
         self.dim = dim
         self.dropout = float(dropout)
         self.forward_cell = LstmCell(dim, rng)
@@ -154,7 +151,7 @@ class BiRnnEncoder:
                 f"encoder expects (n, {self.dim}) inputs, got {x.shape}")
         if self.dropout > 0.0 and dropout_rng is not None:
             keep = (dropout_rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
-            x = x * Tensor(keep)
+            x = x * keep
         fwd = self.forward_cell.run(x)
         bwd = self.backward_cell.run(x, reverse=True)
         return concat([fwd + x, bwd + x], axis=1)

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .files import atomic_open
+from .files import BinaryReader, atomic_open, write_str
 from .text import IdfTable, Vocabulary
 from .trec import Candidate, Qrels, RankedList
 
@@ -123,9 +123,9 @@ def bm25_score(query, doc_id: str, index: InvertedIndex,
     return score
 
 
-def score_all(query, index: InvertedIndex,
-              k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> np.ndarray:
+def score_all(query, index: InvertedIndex) -> np.ndarray:
     """BM25 scores for every document, in index position order."""
+    k1, b = K1_DEFAULT, B_DEFAULT
     scores = np.zeros(len(index), dtype=np.float64)
     dl = index.doc_lengths.astype(np.float64)
     norm = k1 * (1.0 - b + b * dl / index.avg_doc_length)
@@ -141,8 +141,7 @@ def score_all(query, index: InvertedIndex,
     return scores
 
 
-def retrieve_topn(query, index: InvertedIndex, n: int,
-                  k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> RankedList:
+def retrieve_topn(query, index: InvertedIndex, n: int) -> RankedList:
     """Top-N documents by BM25, ties broken by ascending doc_id.
 
     A date cutoff on the query excludes documents dated after it (documents
@@ -150,7 +149,7 @@ def retrieve_topn(query, index: InvertedIndex, n: int,
     """
     if n < 1:
         raise ConfigError(f"candidate count must be >= 1, got {n}")
-    scores = score_all(query, index, k1, b)
+    scores = score_all(query, index)
     # Stable sort on -scores: equal scores keep position order == doc_id order.
     order = np.argsort(-scores, kind="stable")
     cutoff = getattr(query, "date_cutoff", None)
@@ -186,39 +185,6 @@ def oracle_rerank(candidates: RankedList, qrels: Qrels) -> RankedList:
 # ---------------------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-        self.offset = 0
-
-    def read(self, size: int) -> bytes:
-        buf = self.fh.read(size)
-        if len(buf) != size:
-            raise IndexFormatError(
-                f"truncated index file: wanted {size} bytes at offset "
-                f"{self.offset}, got {len(buf)}")
-        self.offset += size
-        return buf
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
-
-
-def _write_str(fh, s: str, fmt: str = "<H") -> None:
-    data = s.encode("utf-8")
-    fh.write(struct.pack(fmt, len(data)))
-    fh.write(data)
-
-
-def _read_str(r: _Reader, fmt: str = "<H") -> str:
-    (n,) = r.unpack(fmt)
-    start = r.offset
-    try:
-        return r.read(n).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"invalid UTF-8 at offset {start + exc.start}") from exc
-
-
 def save_index(index: InvertedIndex, path) -> None:
     """Write the versioned binary index file (layout in docs/formats.md)."""
     meta = {
@@ -236,11 +202,11 @@ def save_index(index: InvertedIndex, path) -> None:
         fh.write(struct.pack("<I", len(meta_bytes)))
         fh.write(meta_bytes)
         for token in index.vocabulary.tokens():
-            _write_str(fh, token)
+            write_str(fh, token)
         for i, did in enumerate(index.doc_ids):
-            _write_str(fh, did)
+            write_str(fh, did)
             fh.write(struct.pack("<I", int(index.doc_lengths[i])))
-            _write_str(fh, index.dates[i] or "")
+            write_str(fh, index.dates[i] or "")
         fh.write(np.ascontiguousarray(index.idf.values, dtype="<f8").tobytes())
         for plist in index.postings:
             fh.write(struct.pack("<I", plist.shape[0]))
@@ -248,43 +214,28 @@ def save_index(index: InvertedIndex, path) -> None:
 
 
 def load_index(path) -> InvertedIndex:
-    with open(path, "rb") as fh:
-        r = _Reader(fh)
-        magic = r.read(4)
-        if magic != _MAGIC:
-            raise IndexFormatError(f"bad magic {magic!r}; not an index file")
-        (version,) = r.unpack("<I")
-        if version != _VERSION:
-            raise IndexFormatError(f"unsupported index format version {version}")
+    with BinaryReader(path, IndexFormatError) as r:
+        r.header(_MAGIC, _VERSION, "index")
         (meta_len,) = r.unpack("<I")
         try:
             meta = json.loads(r.read(meta_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise IndexFormatError(f"corrupt metadata block: {exc}") from exc
+            raise r.fail(f"corrupt metadata block ({exc})", 12) from exc
         if not (isinstance(meta, dict) and all(
                 isinstance(meta.get(k), t) for k, t in _META_TYPES.items())):
-            raise IndexFormatError(
-                f"corrupt metadata block: expected an object with string "
-                f"stemmer, stopword_hash, corpus_digest and integer doc_count, "
-                f"vocab_size, idf_doc_count")
-        vocab = Vocabulary(_read_str(r) for _ in range(meta["vocab_size"]))
+            raise r.fail("corrupt metadata block: expected an object with "
+                         "string stemmer, stopword_hash, corpus_digest and "
+                         "integer doc_count, vocab_size, idf_doc_count", 12)
+        vocab = Vocabulary(r.string() for _ in range(meta["vocab_size"]))
         doc_ids, lengths, dates = [], [], []
         for _ in range(meta["doc_count"]):
-            doc_ids.append(_read_str(r))
-            (length,) = r.unpack("<I")
-            lengths.append(length)
-            date = _read_str(r)
-            dates.append(date or None)
-        idf_values = np.frombuffer(r.read(8 * meta["vocab_size"]), dtype="<f8")
-        idf = IdfTable(idf_values.copy(), meta["idf_doc_count"])
-        postings = []
-        for _ in range(meta["vocab_size"]):
-            (count,) = r.unpack("<I")
-            rows = np.frombuffer(r.read(16 * count), dtype="<i8")
-            postings.append(rows.reshape(count, 2).astype(np.int64))
-        extra = fh.read(1)
-        if extra:
-            raise IndexFormatError(f"trailing bytes at offset {r.offset}")
+            doc_ids.append(r.string())
+            lengths.append(r.unpack("<I")[0])
+            dates.append(r.string() or None)
+        idf = IdfTable(r.array("<f8", (meta["vocab_size"],)), meta["idf_doc_count"])
+        postings = [r.array("<i8", (r.unpack("<I")[0], 2))
+                    for _ in range(meta["vocab_size"])]
+        r.end()
     return InvertedIndex(doc_ids, lengths, dates, postings, vocab, idf,
                          meta["stemmer"], meta["stopword_hash"],
                          meta["corpus_digest"])

@@ -28,20 +28,14 @@ class PairBuilder:
     def __init__(self, queries, documents, candidates: dict[str, RankedList],
                  emb: EmbeddingMatrix, idf: IdfTable,
                  with_extra: bool = False):
-        self.queries = self._by_id(queries, "query_id")
-        self.documents = self._by_id(documents, "doc_id")
+        self.queries = {q.query_id: q for q in queries}
+        self.documents = {d.doc_id: d for d in documents}
         self.candidates = dict(candidates)
         self.emb = emb
         self.idf = idf
         self.with_extra = with_extra
         self._extra: dict[str, ExtraFeatureBuilder] = {}
         self._pairs: dict[tuple[str, str], PairInput] = {}
-
-    @staticmethod
-    def _by_id(values, key):
-        if isinstance(values, dict):
-            return dict(values)
-        return {getattr(v, key): v for v in values}
 
     def query(self, query_id: str) -> ProcessedQuery:
         try:

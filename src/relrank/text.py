@@ -19,6 +19,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .files import read_lines
 
 log = logging.getLogger("relrank.text")
 
@@ -329,18 +330,14 @@ def compute_idf(documents, vocab_size: int) -> IdfTable:
 
 def _json_objects(path):
     """Yield (line number, object) for each non-blank line of a JSON-lines file."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{line_no}: expected a JSON object")
-            yield line_no, obj
+    for line_no, line in read_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{line_no}: expected a JSON object")
+        yield line_no, obj
 
 
 def _doc_text(obj: dict, line_no: int, path) -> str:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DataError
-from .files import atomic_open, write_json
+from .files import atomic_open, read_lines, write_json
 
 
 @dataclass
@@ -89,22 +89,19 @@ class Qrels:
 
 def read_qrels(path) -> Qrels:
     qrels = Qrels()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
-            qid, _, did, rel = parts
-            try:
-                rel_val = int(rel)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: relevance {rel!r} is not an integer")
-            try:
-                qrels.add(qid, did, rel_val)
-            except DataError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 4:
+            raise DataError(f"{path}:{line_no}: expected 4 fields, got {len(parts)}")
+        qid, _, did, rel = parts
+        try:
+            rel_val = int(rel)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: relevance {rel!r} is not an integer")
+        try:
+            qrels.add(qid, did, rel_val)
+        except DataError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
     return qrels
 
 
@@ -122,19 +119,16 @@ def read_run(path) -> list[RankedList]:
     runs the same way), so line order in the file does not matter.
     """
     by_query: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise DataError(f"{path}:{line_no}: expected 6 fields, got {len(parts)}")
-            qid, _, did, _, score, _ = parts
-            try:
-                score_val = float(score)
-            except ValueError:
-                raise DataError(f"{path}:{line_no}: score {score!r} is not a number")
-            by_query.setdefault(qid, []).append((did, score_val))
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 6:
+            raise DataError(f"{path}:{line_no}: expected 6 fields, got {len(parts)}")
+        qid, _, did, _, score, _ = parts
+        try:
+            score_val = float(score)
+        except ValueError:
+            raise DataError(f"{path}:{line_no}: score {score!r} is not a number")
+        by_query.setdefault(qid, []).append((did, score_val))
     lists = []
     for qid, scored in by_query.items():
         seen = set()

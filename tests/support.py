@@ -86,8 +86,8 @@ def toy_world(rng, n_train=4, n_dev=2, dim=4, with_extra=False):
         for doc_id in pool:
             qrels.add(qid, doc_id, 1 if doc_id in rel_ids else 0)
     idf = compute_idf(documents.values(), len(tokens))
-    builder = PairBuilder(queries, documents, candidates, emb, idf,
-                          with_extra=with_extra)
+    builder = PairBuilder(list(queries.values()), list(documents.values()),
+                          candidates, emb, idf, with_extra=with_extra)
     train_ids = [f"q{i}" for i in range(n_train)]
     dev_ids = [f"q{i}" for i in range(n_train, n_queries)]
     data = TrainData(

@@ -422,3 +422,22 @@ class TestParameterSet:
         path.write_bytes(path.read_bytes() + b"garbage")
         with pytest.raises(CheckpointError, match="trailing bytes at offset 96"):
             ad.load_params(path)
+
+    def test_checkpoint_duplicate_name_is_checkpoint_error(self, tmp_path):
+        ps = ParameterSet()
+        ps.add("w", np.ones(2))
+        ps.add("v", np.ones(2))
+        path = tmp_path / "model.ckpt"
+        ad.save_params(path, ps)
+        path.write_bytes(path.read_bytes().replace(b"\x01\x00v", b"\x01\x00w"))
+        with pytest.raises(CheckpointError, match="duplicate parameter name 'w' at offset 36"):
+            ad.load_params(path)
+
+    def test_checkpoint_name_not_utf8_reports_offset(self, tmp_path):
+        ps = ParameterSet()
+        ps.add("ab", np.ones(2))
+        path = tmp_path / "model.ckpt"
+        ad.save_params(path, ps)
+        path.write_bytes(path.read_bytes().replace(b"ab", b"\xff\xfe"))
+        with pytest.raises(CheckpointError, match="invalid UTF-8 at offset 14"):
+            ad.load_params(path)

@@ -98,6 +98,18 @@ class TestIndexCommand:
         assert main(["index", str(cfg)]) == 2
         assert "error[config]" in capsys.readouterr().err
 
+    def test_non_utf8_corpus_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "corpus.jsonl").write_bytes(
+            b'{"id": "d1", "text": "caf\xe9 aspirin"}\n')
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "corpus": "corpus.jsonl", "embeddings": "e", "queries": "q",
+            "qrels": "r", "index": "i", "checkpoints": "c", "outputs": "o",
+        }))
+        assert main(["index", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and "corpus.jsonl:1: invalid UTF-8" in err
+
 
 class TestRetrieveCommand:
     def test_run_file_shape(self, ws):
@@ -378,6 +390,14 @@ class TestRepeatCommand:
             assert set(block) == {"map", "p20", "ndcg20"}
         for seed in ("0", "1"):
             assert Path(summary["runs"][seed]).exists()
+
+    def test_missing_eval_split_is_reported_as_eval_reports_it(self, ws, capsys):
+        missing = ["--set", "eval_split=missing.split"]
+        assert main(["eval", ws.cfg, str(ws.out / "bm25.run")] + missing) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("error[config]: input path(s) not found")
+        assert main(["repeat", ws.cfg, "--seeds", "1"] + missing) == 2
+        assert capsys.readouterr().err == expected
 
     def test_zero_seeds_rejected(self, ws, capsys):
         assert main(["repeat", ws.cfg, "--seeds", "0"]) == 2

@@ -61,6 +61,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    def test_non_utf8_config(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"corpus": "caf\xe9.jsonl"}')
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -43,6 +43,9 @@ class TestTextFormat:
         path.write_text("x y\n")
         with pytest.raises(EmbeddingFormatError, match="non-integer"):
             read_word2vec_text(path)
+        path.write_text("100000000000 100000\n")
+        with pytest.raises(EmbeddingFormatError, match="more values than the file"):
+            read_word2vec_text(path)
 
     def test_truncation_and_extra(self, tmp_path):
         path = tmp_path / "emb.txt"
