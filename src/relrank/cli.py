@@ -23,15 +23,12 @@ from .embeddings import EmbeddingMatrix, load_embeddings
 from .errors import ConfigError, DataError, RelrankError
 from .evaluation import (MetricsReport, evaluate_run, stratified_shuffle_test)
 from .files import atomic_open, write_json
-from .index import build_index, load_index, oracle_rerank, retrieve_topn
+from .index import build_index, load_index, oracle_rerank, retrieve_topn, save_index
 from .models import BASELINE, build_model
 from .rerank import PairBuilder, inspect_interactions, rerank_candidates
-from .text import (TextPipeline, file_digest, iter_queries, process_corpus,
-                   process_queries)
+from .text import TextPipeline, iter_queries, process_corpus, process_queries
 from .training import TrainData, train
 from .trec import Qrels, RankedList, read_qrels, read_run, write_run
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -39,46 +36,14 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 
-def _meta(cfg: PipelineConfig, inputs: dict[str, str], seed: int | None = None,
-          **extra) -> dict:
-    """Provenance block every artifact carries in its ``.meta.json``."""
-    meta = {
-        "seed": cfg.seed if seed is None else seed,
-        "config_hash": cfg.config_hash,
-        "input_hashes": {name: file_digest(path)
-                         for name, path in sorted(inputs.items())},
-    }
-    meta.update(extra)
-    return meta
-
-
-def _ensure_dir(path) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _subset_qrels(qrels: Qrels, query_ids) -> Qrels:
-    keep = set(query_ids)
-    out = Qrels()
-    for qid, did, rel in qrels.items():
-        if qid in keep:
-            out.add(qid, did, rel)
-    return out
-
-
 @dataclass
 class _World:
-    """Corpus, queries, judgments, candidates and pair source, fully loaded."""
+    """Judgments, embeddings, candidates and the pair source, fully loaded."""
 
-    pipeline: TextPipeline
-    documents: list
-    queries: list
     qrels: Qrels
     emb: EmbeddingMatrix
     candidates: dict[str, RankedList]
     builder: PairBuilder
-    inputs: dict[str, str]
 
 
 def _load_world(cfg: PipelineConfig) -> _World:
@@ -94,11 +59,7 @@ def _load_world(cfg: PipelineConfig) -> _World:
     with_extra = cfg.extra_features or cfg.model == BASELINE
     builder = PairBuilder(queries, build.documents, candidates, emb,
                           build.idf, with_extra=with_extra)
-    inputs = {"corpus": cfg.corpus, "queries": cfg.queries,
-              "qrels": cfg.qrels, "embeddings": cfg.embeddings,
-              "candidates": cfg.candidates_path}
-    return _World(pipeline, build.documents, queries, qrels, emb,
-                  candidates, builder, inputs)
+    return _World(qrels, emb, candidates, builder)
 
 
 def _build_model(cfg: PipelineConfig, world: _World, seed: int):
@@ -156,13 +117,10 @@ def cmd_index(cfg: PipelineConfig, args) -> int:
                         stemmer=pipeline.stemmer_name,
                         stopword_hash=pipeline.stopwords_digest,
                         corpus_digest=build.corpus_digest)
-    _ensure_dir(Path(cfg.index).parent)
-    from .index import save_index
     save_index(index, cfg.index)
-    write_meta(cfg.index, _meta(cfg, {"corpus": cfg.corpus},
-                                documents=len(index),
-                                vocabulary=len(build.vocabulary),
-                                skipped_empty=len(build.skipped_empty)))
+    write_meta(cfg.index, cfg.meta(documents=len(index),
+                                   vocabulary=len(build.vocabulary),
+                                   skipped_empty=len(build.skipped_empty)))
     total_terms = int(sum(index.doc_lengths))
     print(f"indexed {len(index)} documents ({total_terms} terms, "
           f"{len(build.vocabulary)} distinct, "
@@ -173,25 +131,25 @@ def cmd_index(cfg: PipelineConfig, args) -> int:
 def cmd_retrieve(cfg: PipelineConfig, args) -> int:
     cfg.require_inputs("index", "queries")
     index = load_index(cfg.index)
-    pipeline = TextPipeline(stemmer=index.stemmer or "porter")
-    if index.stopword_hash and index.stopword_hash != pipeline.stopwords_digest:
-        log.warning("stopword list differs from the one used at indexing time")
+    pipeline = TextPipeline()
+    if index.stemmer not in ("", pipeline.stemmer_name):
+        raise DataError(f"{cfg.index}: built with stemmer {index.stemmer!r}, "
+                        f"but queries are stemmed with {pipeline.stemmer_name!r}")
+    if index.stopword_hash not in ("", pipeline.stopwords_digest):
+        raise DataError(f"{cfg.index}: built with another stopword list "
+                        f"than the one queries are filtered with")
     queries = process_queries(cfg.queries, pipeline, index.vocabulary,
                               cfg.date_cutoff_field)
     ranked = [retrieve_topn(q, index, cfg.n_candidates) for q in queries]
-    _ensure_dir(cfg.outputs)
     out = cfg.candidates_path
-    write_run(out, ranked, tag="bm25",
-              metadata=_meta(cfg, {"index": cfg.index, "queries": cfg.queries},
-                             n_candidates=cfg.n_candidates))
+    write_run(out, ranked, tag="bm25")
+    write_meta(out, cfg.meta(n_candidates=cfg.n_candidates))
     print(f"retrieved top {cfg.n_candidates} for {len(ranked)} queries -> {out}")
     return 0
 
 
 def _train_one(cfg: PipelineConfig, world: _World, seed: int):
     """Train one model instance and persist its checkpoint and log."""
-    if cfg.train_split is None or cfg.dev_split is None:
-        raise ConfigError("training needs train_split and dev_split paths")
     cfg.require_inputs("train_split", "dev_split")
     train_ids = read_split(cfg.train_split)
     dev_ids = read_split(cfg.dev_split)
@@ -202,30 +160,29 @@ def _train_one(cfg: PipelineConfig, world: _World, seed: int):
     if missing:
         raise DataError(
             f"split names queries without candidates: {missing[:5]}")
+    # Training samples only the train lists' queries and dev eval scores
+    # only the dev lists, so both can read the full judgments.
     data = TrainData(
         world.builder,
-        _subset_qrels(world.qrels, train_ids),
+        world.qrels,
         {q: world.candidates[q] for q in train_ids},
-        _subset_qrels(world.qrels, dev_ids),
+        world.qrels,
         {q: world.candidates[q] for q in dev_ids},
     )
     model = _build_model(cfg, world, seed)
-    _ensure_dir(cfg.checkpoints)
     ckpt = _checkpoint_path(cfg, model.name, seed)
     log_path = ckpt.with_suffix(".log.jsonl")
     result = train(model, data, cfg.train_config(seed))
     save_params(ckpt, result.best_params)
     with atomic_open(log_path) as fh:
         fh.write(result.log_lines())
-    inputs = dict(world.inputs,
-                  train_split=cfg.train_split, dev_split=cfg.dev_split)
-    meta = _meta(cfg, inputs, seed=seed, model=model.name,
-                 best_epoch=result.best_epoch,
-                 best_dev_map=result.best_dev_map,
-                 epochs_run=len(result.log),
-                 skipped_queries=result.skipped_queries,
-                 stopped_early=result.stopped_early,
-                 diverged=result.diverged)
+    meta = cfg.meta(seed=seed, model=model.name,
+                    best_epoch=result.best_epoch,
+                    best_dev_map=result.best_dev_map,
+                    epochs_run=len(result.log),
+                    skipped_queries=result.skipped_queries,
+                    stopped_early=result.stopped_early,
+                    diverged=result.diverged)
     write_meta(ckpt, meta)
     write_meta(log_path, meta)
     return model, result, ckpt
@@ -253,11 +210,9 @@ def _rerank_one(cfg: PipelineConfig, world: _World, seed: int, ids,
     model, ckpt = _load_trained(cfg, world, seed, checkpoint)
     ranked = rerank_candidates(model, world.builder,
                                {q: world.candidates[q] for q in ids})
-    _ensure_dir(cfg.outputs)
     out = Path(output) if output else Path(cfg.outputs) / f"{model.name}-seed{seed}.run"
-    inputs = dict(world.inputs, checkpoint=str(ckpt))
-    write_run(out, ranked, tag=model.name,
-              metadata=_meta(cfg, inputs, seed=seed, model=model.name))
+    write_run(out, ranked, tag=model.name)
+    write_meta(out, cfg.meta({"checkpoint": ckpt}, seed=seed, model=model.name))
     return model, out, ranked
 
 
@@ -268,11 +223,9 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
         candidates = {rl.query_id: rl for rl in read_run(cfg.candidates_path)}
         ranked = [oracle_rerank(candidates[q], qrels)
                   for q in _eval_query_ids(cfg, candidates)]
-        _ensure_dir(cfg.outputs)
         out = Path(args.output) if args.output else Path(cfg.outputs) / "oracle.run"
-        write_run(out, ranked, tag="oracle",
-                  metadata=_meta(cfg, {"qrels": cfg.qrels,
-                                       "candidates": cfg.candidates_path}))
+        write_run(out, ranked, tag="oracle")
+        write_meta(out, cfg.meta())
         print(f"oracle reranking for {len(ranked)} queries -> {out}")
         return 0
     world = _load_world(cfg)
@@ -296,17 +249,17 @@ def _evaluate_file(run_path, qrels: Qrels, split: list[str] | None) -> MetricsRe
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     cfg.require_inputs("qrels")
-    for run_path in filter(None, (args.run, args.baseline)):
+    runs = {name: path for name, path in
+            (("run", args.run), ("baseline", args.baseline)) if path}
+    for run_path in runs.values():
         if not Path(run_path).exists():
             raise ConfigError(f"run file not found: {run_path}")
     qrels = read_qrels(cfg.qrels)
     split = _eval_split(cfg)
     report = _evaluate_file(args.run, qrels, split)
     print(report.format_table())
-    _ensure_dir(cfg.outputs)
     out = Path(cfg.outputs) / f"{Path(args.run).stem}.metrics.json"
     payload = report.to_json()
-    inputs = {"qrels": cfg.qrels, "run": args.run}
     if args.baseline:
         base = _evaluate_file(args.baseline, qrels, split)
         print()
@@ -322,9 +275,8 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
               f"p = {sig.p_value:.4f} ({sig.permutations} permutations)")
         payload["baseline"] = base.to_json()
         payload["significance"] = sig.to_json()
-        inputs["baseline"] = args.baseline
     write_json(out, payload)
-    write_meta(out, _meta(cfg, inputs))
+    write_meta(out, cfg.meta(runs))
     return 0
 
 
@@ -338,8 +290,7 @@ def cmd_inspect(cfg: PipelineConfig, args) -> int:
     if args.output:
         with atomic_open(args.output) as fh:
             fh.write(text + "\n")
-        inputs = dict(world.inputs, checkpoint=str(ckpt))
-        write_meta(args.output, _meta(cfg, inputs, seed=seed))
+        write_meta(args.output, cfg.meta({"checkpoint": ckpt}, seed=seed))
         print(f"interaction dump for ({args.query_id}, {args.doc_id}) "
               f"-> {args.output}")
     else:
@@ -366,9 +317,9 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     order = [qids[i] for i in rng.permutation(len(qids))]
     folds = [sorted(order[i::args.folds]) for i in range(args.folds)]
-    root = _ensure_dir(Path(cfg.outputs) / "xval")
+    root = Path(cfg.outputs) / "xval"
     for i in range(args.folds):
-        fold_dir = _ensure_dir(root / f"fold{i}")
+        fold_dir = root / f"fold{i}"
         test = folds[i]
         dev = folds[(i + 1) % args.folds]
         train_ids = sorted(q for j, f in enumerate(folds)
@@ -388,8 +339,7 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
         write_json(fold_dir / "config.json", data)
         print(f"fold {i}: {len(train_ids)} train / {len(dev)} dev / "
               f"{len(test)} test -> {fold_dir / 'config.json'}")
-    write_meta(root / "xval", _meta(cfg, {"queries": cfg.queries},
-                                    folds=args.folds))
+    write_meta(root / "xval", cfg.meta(folds=args.folds))
     return 0
 
 
@@ -424,7 +374,7 @@ def cmd_repeat(cfg: PipelineConfig, args) -> int:
     }
     out = Path(cfg.outputs) / f"repeat-{model.name}.summary.json"
     write_json(out, summary)
-    write_meta(out, _meta(cfg, world.inputs, seeds=seeds))
+    write_meta(out, cfg.meta(seeds=seeds))
     for name in MetricsReport.METRICS:
         print(f"{name}: mean {summary['mean'][name]:.4f} "
               f"std {summary['std'][name]:.4f} over {len(seeds)} seeds")

@@ -3,7 +3,9 @@
 Every CLI subcommand consumes the same ``PipelineConfig``.  Artifacts written
 by commands carry a ``.meta.json`` sidecar embedding the seed, the config
 hash, and the SHA-256 of every input file the command read, so a run can be
-audited and reproduced byte for byte.
+audited and reproduced byte for byte.  A command names each input once, in
+:meth:`PipelineConfig.require_inputs`; :meth:`PipelineConfig.meta` hashes
+exactly the inputs checked there.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from pathlib import Path
 from .embeddings import FORMATS
 from .errors import ConfigError, DataError
 from .files import read_lines, write_json
+from .text import file_digest
 from .training import TrainConfig
 
 __all__ = [
@@ -89,6 +92,9 @@ class PipelineConfig:
             raise ConfigError("hyperparameters must be a JSON object")
         # Validate value ranges eagerly so typos fail before any work starts.
         self.train_config()
+        # The inputs require_inputs checked, by name; not a field, so the
+        # config hash and the per-fold configs xval writes leave it out.
+        self._inputs: dict[str, str] = {}
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -110,7 +116,10 @@ class PipelineConfig:
         return str(Path(self.outputs) / "bm25.run")
 
     def require_inputs(self, *names: str) -> None:
-        """Check that the named path fields are set and exist on disk."""
+        """Check that the named path fields are set and exist on disk.
+
+        Every sidecar this invocation writes afterwards hashes them.
+        """
         missing = []
         for name in names:
             value = self.candidates_path if name == "candidates" else getattr(self, name)
@@ -118,8 +127,24 @@ class PipelineConfig:
                 raise ConfigError(f"config is missing the {name!r} path")
             if not Path(value).exists():
                 missing.append(f"{name}: {value}")
+            self._inputs[name] = value
         if missing:
             raise ConfigError("input path(s) not found: " + "; ".join(missing))
+
+    def meta(self, paths: dict | None = None, seed: int | None = None,
+             **fields) -> dict:
+        """The ``.meta.json`` provenance of an artifact: the seed, the config
+        hash, and the SHA-256 of every input :meth:`require_inputs` checked
+        plus the ``paths`` the stage took from elsewhere (a checkpoint, a
+        run), followed by the stage's own ``fields``."""
+        inputs = dict(self._inputs, **(paths or {}))
+        return {
+            "seed": self.seed if seed is None else seed,
+            "config_hash": self.config_hash,
+            "input_hashes": {name: file_digest(path)
+                             for name, path in sorted(inputs.items())},
+            **fields,
+        }
 
 
 def apply_override(data: dict, override: str) -> None:

@@ -4,7 +4,8 @@ Text inputs must be UTF-8; :func:`read_lines` names the file and line of
 any line that is not.  Binary inputs go through :class:`BinaryReader`,
 whose every error is the format's own and names a byte offset.  Writes go
 to a temporary file beside the target, which replaces it only once
-complete, so an interrupted stage never leaves a truncated artifact.
+complete, so an interrupted stage never leaves a truncated artifact; the
+target's directory is created as needed.
 """
 
 from __future__ import annotations
@@ -137,8 +138,10 @@ def write_str(fh, s: str) -> None:
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w"):
     """Open a temporary file beside ``path`` for writing (``"w"`` for UTF-8
-    text, ``"wb"`` for bytes); it replaces ``path`` when the block ends."""
+    text, ``"wb"`` for bytes); it replaces ``path`` when the block ends.
+    A missing directory of ``path`` is created first."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:

@@ -226,7 +226,12 @@ def load_index(path) -> InvertedIndex:
             raise r.fail("corrupt metadata block: expected an object with "
                          "string stemmer, stopword_hash, corpus_digest and "
                          "integer doc_count, vocab_size, idf_doc_count", 12)
-        vocab = Vocabulary(r.string() for _ in range(meta["vocab_size"]))
+        vocab = Vocabulary()
+        for term_id in range(meta["vocab_size"]):
+            at = r.offset
+            token = r.string()
+            if vocab.add(token) != term_id:
+                raise r.fail(f"repeated vocabulary token {token!r}", at)
         doc_ids, lengths, dates = [], [], []
         for _ in range(meta["doc_count"]):
             doc_ids.append(r.string())

@@ -3,7 +3,7 @@
 Tokenization lowercases and splits on non-alphanumeric characters, keeping
 single-character tokens (dropping them would destroy terms like "vitamin d").
 Stopwords are the English list under ``data/stopwords_en.txt``; the stemmer
-is Porter's or none.
+is Porter's.
 """
 
 from __future__ import annotations
@@ -165,20 +165,6 @@ def porter_stem(word: str) -> str:
     return w
 
 
-def identity_stem(word: str) -> str:
-    return word
-
-
-STEMMERS = {"porter": porter_stem, "none": identity_stem}
-
-
-def get_stemmer(name: str):
-    try:
-        return STEMMERS[name]
-    except KeyError:
-        raise ConfigError(f"unknown stemmer {name!r}; choose from {sorted(STEMMERS)}")
-
-
 # ---------------------------------------------------------------------------
 # Stopwords
 # ---------------------------------------------------------------------------
@@ -205,22 +191,23 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_and_normalize(text: str, stopwords, stemmer=porter_stem) -> list[str]:
+def tokenize_and_normalize(text: str, stopwords) -> list[str]:
     """Tokenize, drop stopwords, stem.  Empty output is allowed; the caller
     decides whether an empty document or query is admissible."""
-    return [stemmer(tok) for tok in tokenize(text) if tok not in stopwords]
+    return [porter_stem(tok) for tok in tokenize(text) if tok not in stopwords]
 
 
 class TextPipeline:
     """The preprocessing configuration applied to every document and query."""
 
-    def __init__(self, stemmer: str = "porter"):
-        self.stemmer_name = stemmer
-        self.stem = get_stemmer(stemmer)
+    #: The stemmer's name, recorded in the index metadata.
+    stemmer_name = "porter"
+
+    def __init__(self):
         self.stopwords = default_stopwords()
 
     def process(self, text: str) -> list[str]:
-        return tokenize_and_normalize(text, self.stopwords, self.stem)
+        return tokenize_and_normalize(text, self.stopwords)
 
     @property
     def stopwords_digest(self) -> str:

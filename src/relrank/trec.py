@@ -7,10 +7,11 @@ so a run file round-trips exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DataError
-from .files import atomic_open, read_lines, write_json
+from .files import atomic_open, read_lines
 
 
 @dataclass
@@ -27,7 +28,7 @@ class RankedList:
     """An ordered candidate list for one query.
 
     Entries are sorted by descending score, ties broken by ascending doc_id;
-    ranks run 1..len without gaps and no doc_id repeats.
+    ranks run 1..len without gaps, no doc_id repeats and no score is NaN.
     """
 
     query_id: str
@@ -44,6 +45,8 @@ class RankedList:
             if cand.doc_id in seen:
                 raise DataError(f"query {self.query_id}: duplicate doc {cand.doc_id}")
             seen.add(cand.doc_id)
+            if math.isnan(cand.score):
+                raise DataError(f"query {self.query_id}: NaN score at rank {i + 1}")
             if i and cand.score > self.entries[i - 1].score:
                 raise DataError(f"query {self.query_id}: scores increase at rank {i + 1}")
 
@@ -52,8 +55,16 @@ def ranked_list_from_scores(query_id: str, scored) -> RankedList:
     """Build a RankedList from (doc_id, score) pairs.
 
     Sorts by descending score with ascending doc_id as the tie-break, so the
-    output is deterministic regardless of input order.
+    output is deterministic regardless of input order.  A repeated doc_id or
+    a NaN score, which has no place in that order, raises DataError.
     """
+    seen = set()
+    for doc_id, score in scored:
+        if doc_id in seen:
+            raise DataError(f"query {query_id}: duplicate doc {doc_id}")
+        if math.isnan(score):
+            raise DataError(f"query {query_id}: doc {doc_id} has a NaN score")
+        seen.add(doc_id)
     ordered = sorted(scored, key=lambda p: (-p[1], p[0]))
     entries = [Candidate(doc_id, float(score), rank)
                for rank, (doc_id, score) in enumerate(ordered, 1)]
@@ -129,27 +140,17 @@ def read_run(path) -> list[RankedList]:
         except ValueError:
             raise DataError(f"{path}:{line_no}: score {score!r} is not a number")
         by_query.setdefault(qid, []).append((did, score_val))
-    lists = []
-    for qid, scored in by_query.items():
-        seen = set()
-        for did, _ in scored:
-            if did in seen:
-                raise DataError(f"{path}: duplicate doc {did} for query {qid}")
-            seen.add(did)
-        lists.append(ranked_list_from_scores(qid, scored))
-    return lists
+    try:
+        return [ranked_list_from_scores(qid, scored)
+                for qid, scored in by_query.items()]
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def write_run(path, ranked_lists, tag: str, metadata: dict | None = None) -> None:
-    """Write ranked lists in TREC run format.
-
-    When ``metadata`` is given it lands in a ``<path>.meta.json`` sidecar,
-    keeping the run file itself consumable by standard TREC tooling.
-    """
+def write_run(path, ranked_lists, tag: str) -> None:
+    """Write ranked lists in TREC run format."""
     with atomic_open(path) as fh:
         for rl in ranked_lists:
             for cand in rl.entries:
                 fh.write(f"{rl.query_id} Q0 {cand.doc_id} {cand.rank} "
                          f"{cand.score!r} {tag}\n")
-    if metadata is not None:
-        write_json(str(path) + ".meta.json", metadata)

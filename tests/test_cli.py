@@ -19,7 +19,7 @@ from relrank.autodiff import save_params
 from relrank.cli import main
 from relrank.config import load_config
 from relrank.embeddings import load_embeddings
-from relrank.index import oracle_rerank
+from relrank.index import load_index, oracle_rerank, save_index
 from relrank.models import build_model
 from relrank.rerank import PairBuilder, rerank_candidates
 from relrank.synthetic import generate_world, write_world
@@ -126,6 +126,23 @@ class TestRetrieveCommand:
         before = run_path.read_bytes()
         assert main(["retrieve", ws.cfg]) == 0
         assert run_path.read_bytes() == before
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("stemmer", "none", "built with stemmer 'none', but queries are "
+                            "stemmed with 'porter'"),
+        ("stopword_hash", "ab" * 32, "built with another stopword list"),
+    ])
+    def test_index_built_another_way_is_data_error(self, ws, tmp_path, capsys,
+                                                   field, value, message):
+        index = load_index(ws.root / "work" / "index.rrix")
+        setattr(index, field, value)
+        save_index(index, tmp_path / "other.rrix")
+        out = tmp_path / "c.run"
+        assert main(["retrieve", ws.cfg, "--set", f"index={tmp_path / 'other.rrix'}",
+                     "--set", f"candidates={out}"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: ") and message in err
+        assert not out.exists()
 
     def test_candidate_count_override(self, ws):
         assert main(["retrieve", ws.cfg, "--set", "candidates=pool3.run",

@@ -43,6 +43,13 @@ class TestAtomicOpen:
         assert target.read_text() == "old\n"
         assert listing(tmp_path) == ["a.txt"]
 
+    def test_missing_directory_is_created(self, tmp_path):
+        target = tmp_path / "a" / "b" / "c.txt"
+        with atomic_open(target) as fh:
+            fh.write("new\n")
+        assert target.read_text() == "new\n"
+        assert listing(target.parent) == ["c.txt"]
+
     def test_raising_first_write_creates_nothing(self, tmp_path):
         with pytest.raises(TypeError):
             write_json(tmp_path / "x.json", {"value": object()})
@@ -67,7 +74,8 @@ class TestArtifactWriters:
     def test_interrupted_run_keeps_previous(self, tmp_path):
         path = tmp_path / "r.run"
         lists = [ranked_list_from_scores("q1", [("d1", 2.0), ("d2", 1.0)])]
-        write_run(path, lists, tag="t", metadata={"seed": 0})
+        write_run(path, lists, tag="t")
+        write_meta(path, {"seed": 0})
         before = path.read_bytes()
 
         def failing():

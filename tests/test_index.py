@@ -350,6 +350,17 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match=f"invalid UTF-8 at offset {at}"):
             load_index(path)
 
+    def test_repeated_vocabulary_token_reports_offset(self, tmp_path):
+        docs, vocab, idf = corpus_from_token_docs({"d1": ["aa", "bb"], "d2": ["cc"]})
+        path = tmp_path / "r.idx"
+        save_index(build_index(docs, vocab, idf), path)
+        raw = path.read_bytes()
+        at = raw.index(b"\x02\x00cc")
+        path.write_bytes(raw.replace(b"\x02\x00cc", b"\x02\x00aa", 1))
+        with pytest.raises(IndexFormatError,
+                           match=f"repeated vocabulary token 'aa' at offset {at}"):
+            load_index(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         docs, vocab, idf = corpus_from_token_docs({"d1": ["a"]})
         index = build_index(docs, vocab, idf)

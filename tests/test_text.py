@@ -14,7 +14,6 @@ from relrank.text import (
     Vocabulary,
     compute_idf,
     default_stopwords,
-    get_stemmer,
     idf_value,
     porter_stem,
     process_corpus,
@@ -80,12 +79,6 @@ class TestPorterStemmer:
         outs = [tokenize_and_normalize(v, stops) for v in variants]
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0]) == 1
-
-    def test_identity_stemmer(self):
-        stem = get_stemmer("none")
-        assert stem("running") == "running"
-        with pytest.raises(ConfigError):
-            get_stemmer("lancaster")
 
 
 class TestTokenizer:

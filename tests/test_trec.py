@@ -1,7 +1,5 @@
 """Tests for TREC run / qrels files and ranked-list invariants."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -33,6 +31,11 @@ class TestRankedList:
         with pytest.raises(DataError, match="duplicate"):
             rl.validate()
 
+    def test_validate_rejects_nan_scores(self):
+        rl = RankedList("q", [Candidate("a", float("nan"), 1), Candidate("b", 2.0, 2)])
+        with pytest.raises(DataError, match="NaN score at rank 1"):
+            rl.validate()
+
     def test_validate_rejects_increasing_scores(self):
         rl = RankedList("q", [Candidate("a", 1.0, 1), Candidate("b", 2.0, 2)])
         with pytest.raises(DataError, match="increase"):
@@ -43,6 +46,10 @@ class TestRankedList:
         assert rl.doc_ids() == ["d3", "d1", "d2"]
         assert [c.rank for c in rl.entries] == [1, 2, 3]
         rl.validate()
+
+    def test_from_scores_rejects_nan_naming_query_and_doc(self):
+        with pytest.raises(DataError, match="query q: doc d2 has a NaN score"):
+            ranked_list_from_scores("q", [("d1", 1.0), ("d2", float("nan"))])
 
     def test_from_scores_input_order_irrelevant(self):
         rng = np.random.default_rng(3)
@@ -140,6 +147,14 @@ class TestRunFiles:
         with pytest.raises(DataError, match="number"):
             read_run(path)
 
+    def test_nan_score_rejected(self, tmp_path):
+        # Sorting would put the NaN first, ahead of every larger score.
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 nan t\nq1 Q0 d2 2 3.0 t\n"
+                        "q1 Q0 d3 3 1.0 t\nq1 Q0 d4 4 2.0 t\n")
+        with pytest.raises(DataError, match="run.txt: query q1: doc d1 has a NaN score"):
+            read_run(path)
+
     def test_duplicate_doc_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q Q0 d1 1 2.0 t\nq Q0 d1 2 1.0 t\n")
@@ -149,8 +164,7 @@ class TestRunFiles:
     def test_metadata_sidecar(self, tmp_path):
         path = tmp_path / "run.txt"
         rl = RankedList("q", [Candidate("d", 1.0, 1)])
-        write_run(path, [rl], tag="bm25", metadata={"n": 100, "k1": 1.2})
-        meta = json.loads((tmp_path / "run.txt.meta.json").read_text())
-        assert meta == {"n": 100, "k1": 1.2}
-        # The run file itself stays plain TREC format.
+        write_run(path, [rl], tag="bm25")
+        # The run file itself stays plain TREC format; its sidecar, like
+        # every other artifact's, is written by config.write_meta.
         assert (tmp_path / "run.txt").read_text() == "q Q0 d 1 1.0 bm25\n"
