@@ -302,13 +302,16 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
     """Write per-fold configs and query splits for k-fold cross-validation.
 
     Fold i holds out fold i as test and fold i+1 (cyclically) as dev; the
-    remaining folds train.  Each fold directory gets its own config whose
-    split paths point at the generated files, so the standard train /
-    rerank / eval sequence runs unchanged per fold.
+    remaining folds train, so at least 3 folds are needed.  Each fold
+    directory gets its own config whose split paths point at the generated
+    files, so the standard train / rerank / eval sequence runs unchanged
+    per fold.
     """
     cfg.require_inputs("queries")
-    if args.folds < 2:
-        raise ConfigError(f"need at least 2 folds, got {args.folds}")
+    if args.folds < 3:
+        raise ConfigError(
+            f"need at least 3 folds (one test, one dev, the rest train), "
+            f"got {args.folds}")
     qids = [qid for qid, _, _ in iter_queries(cfg.queries,
                                               cfg.date_cutoff_field)]
     if len(qids) < args.folds:

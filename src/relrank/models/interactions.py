@@ -68,7 +68,11 @@ def term_gate(feats: Tensor, w_gate: Tensor) -> Tensor:
 def sim_matrix(q_emb: np.ndarray, d_emb: np.ndarray,
                max_q: int, max_d: int) -> np.ndarray:
     """Fixed-size cosine matrix; overlong sides truncated, short sides
-    padded with 0 (neutral under max pooling against positive matches)."""
+    padded with 0 (neutral under max pooling against positive matches).
+
+    The fixed size is PACRR's definition.  Its rows stage reads only the
+    real block, the top-left min(len, max) rows and columns, and the padding
+    next to it, with the result of reading the whole matrix."""
     out = np.zeros((max_q, max_d), dtype=np.float64)
     block = cosine_rows(q_emb[:max_q], d_emb[:max_d])
     out[: block.shape[0], : block.shape[1]] = block

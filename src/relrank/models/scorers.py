@@ -166,9 +166,18 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
                max_kernel: int, filters: int, k: int):
     """Register PACRR's filters; return the rows stage and its row width.
 
-    Per query row: k-max of the raw cosine row (size-1 signal), then k-max
-    of each conv output (sizes 2..max_kernel, relu, max over filters), then
-    the softmax-normalized IDF appended after pooling.
+    Per query row of the zero-padded max_query_terms x max_doc_terms cosine
+    matrix: k-max of the raw cosine row (size-1 signal), then k-max of each
+    conv output (sizes 2..max_kernel, relu, max over filters), then the
+    softmax-normalized IDF appended after pooling.
+
+    The rows equal that padded computation, but only the real block is
+    convolved.  A window wholly in the padding outputs the bias, so after
+    relu and the max over filters every such cell holds the same constant.
+    Each kernel therefore convolves the real block and its border, plus k
+    columns and one row of padding: a row's k-max stops at those k columns
+    (ties go to the earlier index), and the padding row stands in for every
+    query row below it.
     """
     if not 2 <= max_kernel <= max_query_terms:
         raise ConfigError(
@@ -190,12 +199,18 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
         from ..autodiff import conv2d
 
         sim = sim_matrix(pair.q_emb, pair.d_emb, max_query_terms, max_doc_terms)
-        feats = [Tensor(sim).kmax(k)]
+        nq = min(len(pair.q_emb), max_query_terms)
+        nd = min(len(pair.d_emb), max_doc_terms)
+        feats = [Tensor(sim[:, :nd + k]).kmax(k)]
         for n, w, b in convs:
             top = (n - 1) // 2
-            bottom = n - 1 - top
-            padded = np.pad(sim, ((top, bottom), (top, bottom)))
-            feats.append(conv2d(padded, w, b).relu().max(axis=0).kmax(k))
+            height = min(nq + top + 1, max_query_terms)
+            width = min(nd + top + k, max_doc_terms)
+            x = np.zeros((height + n - 1, width + n - 1))
+            x[top:top + nq, top:top + nd] = sim[:nq, :nd]
+            pooled = conv2d(x, w, b).relu().max(axis=0).kmax(k)
+            feats.append(gather_rows(pooled, np.minimum(
+                np.arange(max_query_terms), height - 1)))
         feats.append(Tensor(softmax_idf(pair.q_idf, max_query_terms)[:, None]))
         return concat(feats, axis=1)
 

@@ -384,6 +384,11 @@ class TestXvalCommand:
         assert main(["xval", ws.cfg, "--folds", "1"]) == 2
         assert "error[config]" in capsys.readouterr().err
 
+    def test_two_folds_leave_none_to_train(self, ws, capsys):
+        assert main(["xval", ws.cfg, "--folds", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]" in err and "at least 3 folds" in err
+
     def test_more_folds_than_queries(self, ws, capsys):
         assert main(["xval", ws.cfg, "--folds", "21"]) == 3
         assert "error[data]" in capsys.readouterr().err

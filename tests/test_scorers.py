@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from relrank.autodiff import Tensor, load_params, save_params
+from relrank import autodiff
+from relrank.autodiff import Tensor, concat, conv2d, load_params, save_params
 from relrank.embeddings import EmbeddingMatrix
 from relrank.errors import ConfigError
 from relrank.models import BASELINE, PairInput, Scorer, build_model, model_names
@@ -13,6 +14,8 @@ from relrank.models.interactions import (
     attended_match_vectors,
     hashed_match_vectors,
     histogram_edges,
+    sim_matrix,
+    softmax_idf,
 )
 from support import jitter_zero_params, make_pair, model_grad_check, zero_encoder
 
@@ -170,6 +173,13 @@ class TestConvRowModels:
         opts.update(kw)
         return build_model(name, 3, rng, **opts)
 
+    def biased(self, rng, name):
+        # Non-zero conv biases, so a padding cell is not simply zero.
+        model = self.fixed(rng, name)
+        for n in (2, 3):
+            model.params[f"conv{n}.b"].data = rng.normal(0.0, 0.5, 2)
+        return model
+
     def conv_rows_np(self, model, pair):
         sim = sim_np(pair.q_emb, pair.d_emb, L_Q, L_D)
         blocks = [kmax_np(sim, K)]
@@ -191,7 +201,7 @@ class TestConvRowModels:
     def test_flat_scorer_matches_numpy(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            model = self.fixed(rng, "pacrr")
+            model = self.biased(rng, "pacrr")
             pair = make_pair(rng, int(rng.integers(1, 5)),
                              int(rng.integers(1, 7)), 3)
             rows = self.conv_rows_np(model, pair)
@@ -202,7 +212,7 @@ class TestConvRowModels:
     def test_per_row_scorer_matches_numpy(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            model = self.fixed(rng, "pacrr-drmm")
+            model = self.biased(rng, "pacrr-drmm")
             pair = make_pair(rng, int(rng.integers(1, 5)),
                              int(rng.integers(1, 7)), 3)
             rows = self.conv_rows_np(model, pair)
@@ -293,6 +303,132 @@ class TestConvRowModels:
             pair = make_pair(rng, 3, 5, 3)
             report = model_grad_check(model, pair)
             assert report.passed, (name, report)
+
+
+def padded_conv_rows(model, pair, max_q, max_d, max_kernel, k, bias_terms):
+    """PACRR's rows as the model defines them: every kernel convolves the
+    whole zero-padded max_q x max_d cosine matrix.  Backward stores in
+    ``bias_terms[n]`` the per-filter sum of |terms| that conv{n}.b's
+    gradient adds up."""
+    sim = sim_matrix(pair.q_emb, pair.d_emb, max_q, max_d)
+    feats = [Tensor(sim).kmax(k)]
+    for n in range(2, max_kernel + 1):
+        top = (n - 1) // 2
+        padded = np.pad(sim, ((top, n - 1 - top), (top, n - 1 - top)))
+        out = conv2d(padded, model.params[f"conv{n}.w"], model.params[f"conv{n}.b"])
+
+        def tap(g, n=n):
+            bias_terms[n] = np.abs(g).sum(axis=(1, 2))
+            return (g,)
+        out = Tensor(out.data, (out,), "tap", tap)
+        feats.append(out.relu().max(axis=0).kmax(k))
+    feats.append(Tensor(softmax_idf(pair.q_idf, max_q)[:, None]))
+    return concat(feats, axis=1)
+
+
+def score_and_grads(model, pair):
+    model.params.zero_grad()
+    score = model.score(pair)
+    score.backward()
+    return score.data, {name: t.grad.copy() for name, t in model.params.items()}
+
+
+# (max_query_terms, max_doc_terms, max_kernel, k, query terms, doc terms)
+TRIM_CASES = {
+    "truncated": (3, 5, 3, 2, 6, 9),
+    "one_term_query_and_doc": (4, 6, 3, 2, 1, 1),
+    "k_is_max_doc_terms": (4, 6, 3, 6, 2, 3),
+    "max_kernel_is_max_query_terms": (4, 6, 4, 2, 2, 4),
+    "full_block": (4, 6, 4, 6, 4, 6),
+}
+BIAS_KINDS = ("positive", "negative", "zero", "mixed")
+
+
+class TestTrimmedConvRows:
+    """The rows stage convolves only the real block of the padded matrix;
+    it must give what convolving the whole padded matrix gives."""
+
+    def build(self, rng, name, max_q, max_d, max_kernel, k, biases, filters=3):
+        model = build_model(name, 3, rng, max_query_terms=max_q,
+                            max_doc_terms=max_d, max_kernel=max_kernel,
+                            filters=filters, k=k)
+        for n in range(2, max_kernel + 1):
+            size = rng.uniform(0.05, 2.0, filters)
+            sign = {"positive": np.ones(filters), "negative": -np.ones(filters),
+                    "zero": np.zeros(filters),
+                    "mixed": rng.permutation(np.arange(filters) % 3 - 1.0)}[biases]
+            model.params[f"conv{n}.b"].data = sign * size
+        return model
+
+    def pair(self, rng, nq, nd, ties):
+        pair = make_pair(rng, nq, nd, 3)
+        if ties:  # every document vector is one of two
+            d_emb = pair.d_emb[rng.integers(0, min(nd, 2), nd)]
+            pair = PairInput("q", "d", pair.q_emb, d_emb, pair.q_idf,
+                             pair.q_rows, pair.d_rows, pair.q_keys, pair.d_keys)
+        return pair
+
+    def assert_same(self, model, pair, max_q, max_d, max_kernel, k):
+        score, grads = score_and_grads(model, pair)
+        bias_terms = {}
+        model.rows_stage = lambda m, p, state, drop: padded_conv_rows(
+            m, p, max_q, max_d, max_kernel, k, bias_terms)
+        expect, expect_grads = score_and_grads(model, pair)
+        np.testing.assert_array_equal(score, expect)
+        for name, grad in grads.items():
+            if name.startswith("conv") and name.endswith(".b"):
+                # The trimmed path adds the same terms in another order, so
+                # the error is relative to the sum of their magnitudes.
+                bound = 1e-12 * bias_terms[int(name[4:-2])]
+                assert np.all(np.abs(grad - expect_grads[name]) <= bound), (
+                    name, grad, expect_grads[name])
+            else:
+                np.testing.assert_array_equal(grad, expect_grads[name],
+                                              err_msg=name)
+
+    @pytest.mark.parametrize("biases", BIAS_KINDS)
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    @pytest.mark.parametrize("case", sorted(TRIM_CASES))
+    @pytest.mark.parametrize("name", ["pacrr", "pacrr-drmm"])
+    def test_named_cases(self, name, case, ties, biases):
+        max_q, max_d, max_kernel, k, nq, nd = TRIM_CASES[case]
+        rng = np.random.default_rng(21)
+        model = self.build(rng, name, max_q, max_d, max_kernel, k, biases)
+        self.assert_same(model, self.pair(rng, nq, nd, ties),
+                         max_q, max_d, max_kernel, k)
+
+    def test_random_shapes(self):
+        rng = np.random.default_rng(19)
+        for _ in range(150):
+            max_q, max_d = int(rng.integers(2, 7)), int(rng.integers(1, 13))
+            max_kernel = int(rng.integers(2, max_q + 1))
+            k = int(rng.integers(1, max_d + 1))
+            name = ("pacrr", "pacrr-drmm")[int(rng.integers(2))]
+            model = self.build(rng, name, max_q, max_d, max_kernel, k,
+                               BIAS_KINDS[int(rng.integers(4))],
+                               filters=int(rng.integers(1, 5)))
+            pair = self.pair(rng, int(rng.integers(1, max_q + 3)),
+                             int(rng.integers(1, max_d + 4)), bool(rng.integers(2)))
+            self.assert_same(model, pair, max_q, max_d, max_kernel, k)
+
+    def test_padding_is_not_convolved(self, monkeypatch):
+        # At the default 30 x 300 sizes a 3-term query and a 16-term document
+        # convolve at most (nq + n) x (nd + n + k) cells per filter.
+        rng = np.random.default_rng(20)
+        model = build_model("pacrr", 3, rng)
+        nq, nd, k, filters = 3, 16, 2, 16
+        shapes = []
+
+        def counted(x, w, b=None):
+            out = conv2d(x, w, b)
+            shapes.append((w.data.shape[1], out.data.shape))
+            return out
+
+        monkeypatch.setattr(autodiff, "conv2d", counted)
+        model.score(make_pair(rng, nq, nd, 3)).backward()
+        assert [n for n, _ in shapes] == [2, 3]
+        for n, shape in shapes:
+            assert np.prod(shape) <= filters * (nq + n) * (nd + n + k), (n, shape)
 
 
 class TestAttentionDrmm:
