@@ -12,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -113,14 +113,15 @@ def cmd_index(cfg: PipelineConfig, args) -> int:
     cfg.require_inputs("corpus")
     pipeline = TextPipeline()
     build = process_corpus(cfg.corpus, pipeline)
+    meta = cfg.meta(documents=len(build.documents),
+                    vocabulary=len(build.vocabulary),
+                    skipped_empty=len(build.skipped_empty))
     index = build_index(build.documents, build.vocabulary, build.idf,
                         stemmer=pipeline.stemmer_name,
                         stopword_hash=pipeline.stopwords_digest,
-                        corpus_digest=build.corpus_digest)
+                        corpus_digest=meta["input_hashes"]["corpus"])
     save_index(index, cfg.index)
-    write_meta(cfg.index, cfg.meta(documents=len(index),
-                                   vocabulary=len(build.vocabulary),
-                                   skipped_empty=len(build.skipped_empty)))
+    write_meta(cfg.index, meta)
     total_terms = int(sum(index.doc_lengths))
     print(f"indexed {len(index)} documents ({total_terms} terms, "
           f"{len(build.vocabulary)} distinct, "
@@ -330,7 +331,7 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
         for name, ids in (("train", train_ids), ("dev", dev), ("test", test)):
             with atomic_open(fold_dir / f"{name}.split") as fh:
                 fh.write("".join(qid + "\n" for qid in ids))
-        data = cfg.to_dict()
+        data = asdict(cfg)
         # Pin the shared candidates file: the fold's outputs dir moves, and
         # the default <outputs>/bm25.run would point inside the fold.
         data.update(train_split=str(fold_dir / "train.split"),

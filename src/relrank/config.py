@@ -3,9 +3,9 @@
 Every CLI subcommand consumes the same ``PipelineConfig``.  Artifacts written
 by commands carry a ``.meta.json`` sidecar embedding the seed, the config
 hash, and the SHA-256 of every input file the command read, so a run can be
-audited and reproduced byte for byte.  A command names each input once, in
-:meth:`PipelineConfig.require_inputs`; :meth:`PipelineConfig.meta` hashes
-exactly the inputs checked there.
+audited and reproduced byte for byte, in any directory.  A command names each
+input once, in :meth:`PipelineConfig.require_inputs`, and the sidecar names it
+by content alone: :meth:`PipelineConfig.meta` hashes exactly those inputs.
 """
 from __future__ import annotations
 
@@ -16,8 +16,7 @@ from pathlib import Path
 
 from .embeddings import FORMATS
 from .errors import ConfigError, DataError
-from .files import read_lines, write_json
-from .text import file_digest
+from .files import file_digest, read_lines, write_json
 from .training import TrainConfig
 
 __all__ = [
@@ -74,11 +73,14 @@ class PipelineConfig:
         if self.model not in model_names():
             raise ConfigError(
                 f"unknown model {self.model!r}; choose from {model_names()}")
-        if not isinstance(self.n_candidates, int) or self.n_candidates < 1:
+        if type(self.n_candidates) is not int or self.n_candidates < 1:
             raise ConfigError(
                 f"n_candidates must be a positive integer, got {self.n_candidates!r}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        for name in _PATH_FIELDS:
+            if not isinstance(value := getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path or null, got {value!r}")
         if self.embedding_format not in FORMATS:
             raise ConfigError(
                 f"embedding_format must be 'text' or 'binary', "
@@ -96,13 +98,12 @@ class PipelineConfig:
         # config hash and the per-fold configs xval writes leave it out.
         self._inputs: dict[str, str] = {}
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
     @property
     def config_hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
+        """SHA-256 of the non-path fields; ``meta`` names inputs by content."""
+        canon = json.dumps({f.name: getattr(self, f.name) for f in fields(self)
+                            if f.name not in _PATH_FIELDS},
+                           sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
@@ -184,15 +185,12 @@ def load_config(path, overrides=()) -> PipelineConfig:
         raise ConfigError(f"{path}: top level must be a JSON object")
     for override in overrides:
         apply_override(data, override)
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown config keys {sorted(unknown)}")
-    base = path.resolve().parent
-    for name in _PATH_FIELDS:
-        value = data.get(name)
-        if value is not None and not Path(value).is_absolute():
-            data[name] = str(base / value)
+    base = path.resolve().parent  # an absolute path replaces it when joined
+    data.update({name: str(base / data[name]) for name in _PATH_FIELDS
+                 if isinstance(data.get(name), str)})
     try:
         return PipelineConfig(**data)
     except TypeError as exc:

@@ -11,6 +11,7 @@ target's directory is created as needed.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,15 @@ import struct
 import numpy as np
 
 from .errors import DataError
+
+
+def file_digest(path) -> str:
+    """The SHA-256 of a file's bytes: how provenance names an input."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def read_lines(path):

@@ -356,20 +356,11 @@ def iter_corpus(path):
 class CorpusBuild:
     """Result of one pass over a corpus: documents, vocabulary, IDF, stats."""
 
-    def __init__(self, documents, vocabulary, idf, skipped_empty, corpus_digest):
+    def __init__(self, documents, vocabulary, idf, skipped_empty):
         self.documents: list[ProcessedDocument] = documents
         self.vocabulary: Vocabulary = vocabulary
         self.idf: IdfTable = idf
         self.skipped_empty: list[str] = skipped_empty
-        self.corpus_digest: str = corpus_digest
-
-
-def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def process_corpus(path, pipeline: TextPipeline) -> CorpusBuild:
@@ -392,7 +383,7 @@ def process_corpus(path, pipeline: TextPipeline) -> CorpusBuild:
     if not documents:
         raise ConfigError(f"{path}: no non-empty documents after preprocessing")
     idf = compute_idf(documents, len(vocab))
-    return CorpusBuild(documents, vocab, idf, skipped, file_digest(path))
+    return CorpusBuild(documents, vocab, idf, skipped)
 
 
 def iter_queries(path, cutoff_field: str | None = None):

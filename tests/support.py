@@ -1,11 +1,15 @@
-"""Shared plumbing for the model-level test suites."""
+"""Shared plumbing for the test suites."""
+
+import json
+from pathlib import Path
 
 import numpy as np
 
 from relrank.autodiff import grad_check
-from relrank.embeddings import align_embeddings
+from relrank.embeddings import align_embeddings, read_word2vec, write_word2vec_binary
 from relrank.models import PairInput
 from relrank.rerank import PairBuilder
+from relrank.synthetic import generate_world, write_world
 from relrank.text import ProcessedDocument, ProcessedQuery, Vocabulary, compute_idf
 from relrank.training import TrainData
 from relrank.trec import Qrels, ranked_list_from_scores
@@ -98,3 +102,39 @@ def toy_world(rng, n_train=4, n_dev=2, dim=4, with_extra=False):
         dev_candidates={q: candidates[q] for q in dev_ids},
     )
     return data
+
+
+def make_workspace(root: Path, *, n_docs=120, n_queries=20, n_candidates=10,
+                   epochs=2, binary_embeddings=False):
+    """Generate a corpus plus a ready-to-run pipeline config under root."""
+    world = generate_world(seed=3, n_docs=n_docs, n_queries=n_queries,
+                           n_concepts=30, dim=6, n_filler=15, doc_len=12,
+                           threshold_scale=1.15)
+    paths = write_world(world, root)
+    if binary_embeddings:
+        tokens, matrix = read_word2vec(paths["embeddings"])
+        write_word2vec_binary(root / "embeddings.bin", tokens, matrix)
+    qids = sorted(q["id"] for q in world.queries)
+    n_train = int(n_queries * 0.6)
+    n_dev = int(n_queries * 0.2)
+    splits = (("train", qids[:n_train]),
+              ("dev", qids[n_train:n_train + n_dev]),
+              ("test", qids[n_train + n_dev:]))
+    for name, ids in splits:
+        (root / f"{name}.split").write_text("".join(i + "\n" for i in ids))
+    config = {
+        "corpus": "corpus.jsonl",
+        "embeddings": "embeddings.bin" if binary_embeddings else "embeddings.txt",
+        "embedding_format": "binary" if binary_embeddings else "text",
+        "queries": "queries.jsonl", "qrels": "qrels.txt",
+        "index": "work/index.rrix", "checkpoints": "work/ckpt",
+        "outputs": "work/out",
+        "model": "pooled-drmm-mv", "extra_features": True,
+        "n_candidates": n_candidates, "seed": 0,
+        "train_split": "train.split", "dev_split": "dev.split",
+        "eval_split": "test.split",
+        "training": {"epochs": epochs, "patience": 2, "learning_rate": 0.01},
+    }
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(config, indent=2))
+    return cfg

@@ -10,15 +10,15 @@ machinery, pipeline determinism, and real-data-format readiness.
 import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from support import jitter_zero_params, make_pair, model_grad_check, zero_encoder
+from support import (jitter_zero_params, make_pair, make_workspace,
+                     model_grad_check, zero_encoder)
 
 from relrank.autodiff import Tensor
 from relrank.cli import main as cli_main
-from relrank.embeddings import load_embeddings, read_word2vec, write_word2vec_binary
+from relrank.embeddings import load_embeddings
 from relrank.evaluation import (average_precision, evaluate_run, ndcg_at_k,
                                 precision_at_k, stratified_shuffle_test)
 from relrank.index import (B_DEFAULT, K1_DEFAULT, build_index, oracle_rerank,
@@ -511,42 +511,6 @@ class TestSignificanceMachinery:
                 f"self p = {self_result.p_value} (= 1.0), constant-diff "
                 f"p = {const.p_value:.4f} (<= 0.01), exhaustive rate "
                 f"{exact_rate:.6f} over {1 << 10} assignments")
-
-
-def make_workspace(root: Path, *, n_docs=120, n_queries=20, n_candidates=10,
-                   epochs=2, binary_embeddings=False):
-    """Generate a corpus plus a ready-to-run pipeline config under root."""
-    world = generate_world(seed=3, n_docs=n_docs, n_queries=n_queries,
-                           n_concepts=30, dim=6, n_filler=15, doc_len=12,
-                           threshold_scale=1.15)
-    paths = write_world(world, root)
-    if binary_embeddings:
-        tokens, matrix = read_word2vec(paths["embeddings"])
-        write_word2vec_binary(root / "embeddings.bin", tokens, matrix)
-    qids = sorted(q["id"] for q in world.queries)
-    n_train = int(n_queries * 0.6)
-    n_dev = int(n_queries * 0.2)
-    splits = (("train", qids[:n_train]),
-              ("dev", qids[n_train:n_train + n_dev]),
-              ("test", qids[n_train + n_dev:]))
-    for name, ids in splits:
-        (root / f"{name}.split").write_text("".join(i + "\n" for i in ids))
-    config = {
-        "corpus": "corpus.jsonl",
-        "embeddings": "embeddings.bin" if binary_embeddings else "embeddings.txt",
-        "embedding_format": "binary" if binary_embeddings else "text",
-        "queries": "queries.jsonl", "qrels": "qrels.txt",
-        "index": "work/index.rrix", "checkpoints": "work/ckpt",
-        "outputs": "work/out",
-        "model": "pooled-drmm-mv", "extra_features": True,
-        "n_candidates": n_candidates, "seed": 0,
-        "train_split": "train.split", "dev_split": "dev.split",
-        "eval_split": "test.split",
-        "training": {"epochs": epochs, "patience": 2, "learning_rate": 0.01},
-    }
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(config, indent=2))
-    return cfg
 
 
 class TestPipelineDeterminism:

@@ -4,6 +4,7 @@ A small synthetic workspace is built once per module; commands run through
 ``cli.main`` in-process so exit codes and console output are easy to check.
 """
 
+import hashlib
 import json
 import re
 import subprocess
@@ -14,6 +15,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from artifact_manifest import build, manifest, run_cli
+from support import make_workspace
+
 from relrank import training
 from relrank.autodiff import save_params
 from relrank.cli import main
@@ -22,8 +26,7 @@ from relrank.embeddings import load_embeddings
 from relrank.index import load_index, oracle_rerank, save_index
 from relrank.models import build_model
 from relrank.rerank import PairBuilder, rerank_candidates
-from relrank.synthetic import generate_world, write_world
-from relrank.text import TextPipeline, process_corpus, process_queries
+from relrank.text import TextPipeline, iter_queries, process_corpus, process_queries
 from relrank.trec import read_qrels, read_run, write_run
 
 
@@ -31,30 +34,11 @@ from relrank.trec import read_qrels, read_run, write_run
 def ws(tmp_path_factory):
     """Workspace with corpus, splits, config, index, and BM25 candidates."""
     root = tmp_path_factory.mktemp("cli")
-    world = generate_world(seed=3, n_docs=120, n_queries=20, n_concepts=30,
-                           dim=6, n_filler=15, doc_len=12,
-                           threshold_scale=1.15)
-    write_world(world, root)
-    qids = sorted(q["id"] for q in world.queries)
-    for name, ids in (("train", qids[:12]), ("dev", qids[12:16]),
-                      ("test", qids[16:])):
-        (root / f"{name}.split").write_text("".join(i + "\n" for i in ids))
-    config = {
-        "corpus": "corpus.jsonl", "embeddings": "embeddings.txt",
-        "queries": "queries.jsonl", "qrels": "qrels.txt",
-        "index": "work/index.rrix", "checkpoints": "work/ckpt",
-        "outputs": "work/out",
-        "model": "pooled-drmm-mv", "extra_features": True,
-        "n_candidates": 10, "seed": 0,
-        "train_split": "train.split", "dev_split": "dev.split",
-        "eval_split": "test.split",
-        "training": {"epochs": 2, "patience": 2, "learning_rate": 0.01},
-    }
-    cfg_path = root / "config.json"
-    cfg_path.write_text(json.dumps(config, indent=2))
+    cfg_path = make_workspace(root)  # splits of 12 / 4 / 4 sorted query ids
+    qids = sorted(qid for qid, _, _ in iter_queries(root / "queries.jsonl"))
     assert main(["index", str(cfg_path)]) == 0
     assert main(["retrieve", str(cfg_path)]) == 0
-    return SimpleNamespace(root=root, cfg=str(cfg_path), world=world,
+    return SimpleNamespace(root=root, cfg=str(cfg_path),
                            qids=qids, out=root / "work" / "out",
                            ckpt_dir=root / "work" / "ckpt")
 
@@ -81,6 +65,12 @@ class TestIndexCommand:
         assert len(meta["config_hash"]) == 64
         assert set(meta["input_hashes"]) == {"corpus"}
         assert meta["documents"] == 120
+
+    def test_corpus_digest_is_the_sidecars(self, ws):
+        index_path = ws.root / "work" / "index.rrix"
+        digest = hashlib.sha256((ws.root / "corpus.jsonl").read_bytes()).hexdigest()
+        assert load_index(index_path).corpus_digest == digest
+        assert read_meta(index_path)["input_hashes"]["corpus"] == digest
 
     def test_rerun_is_byte_identical(self, ws):
         index_path = ws.root / "work" / "index.rrix"
@@ -437,6 +427,33 @@ class TestErrorReporting:
     def test_unknown_override_key(self, ws, capsys):
         assert main(["index", ws.cfg, "--set", "learning_rate=1"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["corpus=5", "outputs=[1]"])
+    def test_path_of_another_type(self, ws, capsys, override):
+        assert main(["index", ws.cfg, "--set", override]) == 2
+        name = override.partition("=")[0]
+        assert capsys.readouterr().err.startswith(
+            f"error[config]: {name} must be a path or null")
+
+
+class TestAnyDirectory:
+    def test_every_file_is_byte_identical(self, tmp_path):
+        """One workspace, built and run in two directories at different
+        depths, gives the same bytes in every file, sidecars included."""
+        manifests = []
+        for root in (tmp_path / "a", tmp_path / "b" / "c" / "d"):
+            cfg = build(root, runs=[()])
+            out = root / "work" / "out"
+            run = str(out / "pooled-drmm-mv+extra-seed0.run")
+            run_cli("eval", cfg, run, str(out / "bm25.run"),
+                    "--permutations", "100")
+            top = read_run(run)[0]
+            run_cli("inspect", cfg, top.query_id, top.entries[0].doc_id,
+                    "--output", str(out / "dump.json"))
+            manifests.append(manifest(root))
+        assert len(manifests[0]) == 22
+        assert sum(p.endswith(".meta.json") for p in manifests[0]) == 7
+        assert manifests[0] == manifests[1]
 
 
 class TestConsoleScript:

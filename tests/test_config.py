@@ -1,6 +1,7 @@
 """Tests for pipeline configuration loading, overrides, and hashing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -16,6 +17,22 @@ MINIMAL = {
     "index": "index.rrix",
     "checkpoints": "ckpt",
     "outputs": "out",
+}
+
+PATH_FIELDS = ("corpus", "embeddings", "queries", "qrels", "index",
+               "checkpoints", "outputs", "candidates", "train_split",
+               "dev_split", "eval_split")
+
+# A value other than the default for every field that is not a path.
+CHANGED = {
+    "model": "pacrr",
+    "hyperparameters": {"k": 3},
+    "extra_features": False,
+    "n_candidates": 7,
+    "seed": 1,
+    "embedding_format": "binary",
+    "date_cutoff_field": "date",
+    "training": {"epochs": 9},
 }
 
 
@@ -78,6 +95,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             load_config(path)
 
+    @pytest.mark.parametrize("override, name", [
+        ("corpus=5", "corpus"),
+        ("outputs=[1]", "outputs"),
+        ("candidates={}", "candidates"),
+        ("eval_split=true", "eval_split"),
+    ])
+    def test_path_of_another_type_rejected(self, tmp_path, override, name):
+        with pytest.raises(ConfigError, match=f"{name} must be a path or null"):
+            load_config(write_config(tmp_path), [override])
+
+    def test_path_of_another_type_in_file_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"outputs": [1]})
+        with pytest.raises(ConfigError, match="outputs must be a path or null, got \\[1\\]"):
+            load_config(path)
+
     def test_missing_required_path_rejected(self, tmp_path):
         data = dict(MINIMAL)
         del data["corpus"]
@@ -132,7 +164,12 @@ class TestValidation:
         ("model", "made-up", "unknown model"),
         ("n_candidates", 0, "positive integer"),
         ("n_candidates", "10", "positive integer"),
+        ("n_candidates", True, "positive integer"),
         ("seed", "abc", "seed must be"),
+        ("seed", True, "seed must be"),
+        ("seed", 1.0, "seed must be"),
+        ("queries", 5, "queries must be a path or null"),
+        ("train_split", ["a"], "train_split must be a path or null"),
         ("embedding_format", "csv", "embedding_format"),
         ("training", {"momentum": 0.9}, "unknown training keys"),
         ("training", {"epochs": 0}, "epoch budget"),
@@ -167,11 +204,40 @@ class TestConfigHash:
         path = write_config(tmp_path)
         assert load_config(path).config_hash == load_config(path).config_hash
 
-    def test_any_field_change_moves_the_hash(self, tmp_path):
+    def test_fields_are_paths_or_changed_values(self):
+        names = {f.name for f in fields(PipelineConfig)}
+        assert names == set(PATH_FIELDS) | set(CHANGED)
+
+    @pytest.mark.parametrize("name", sorted(CHANGED))
+    def test_any_field_change_moves_the_hash(self, tmp_path, name):
         base = load_config(write_config(tmp_path)).config_hash
-        assert load_config(write_config(tmp_path), ["seed=1"]).config_hash != base
-        assert load_config(write_config(tmp_path),
-                           ["training.epochs=9"]).config_hash != base
+        changed = f"{name}={json.dumps(CHANGED[name])}"
+        assert load_config(write_config(tmp_path), [changed]).config_hash != base
+
+    @pytest.mark.parametrize("name", PATH_FIELDS)
+    def test_no_path_field_moves_the_hash(self, tmp_path, name):
+        base = load_config(write_config(tmp_path)).config_hash
+        moved = f"{name}=elsewhere/{name}.file"
+        assert load_config(write_config(tmp_path), [moved]).config_hash == base
+
+    def test_same_config_in_another_directory_hashes_alike(self, tmp_path):
+        here, there = tmp_path / "a", tmp_path / "b" / "c" / "d"
+        for root in (here, there):
+            root.mkdir(parents=True)
+            for name in ("corpus", "embeddings", "queries", "qrels"):
+                (root / MINIMAL[name]).write_text(f"{name}\n")
+        assert (load_config(write_config(here)).config_hash
+                == load_config(write_config(there)).config_hash)
+
+    def test_absolute_path_to_a_copy_hashes_alike(self, tmp_path):
+        (tmp_path / "corpus.jsonl").write_text("corpus\n")
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / "corpus.jsonl"
+        copy.write_text("corpus\n")
+        relative = load_config(write_config(tmp_path))
+        absolute = load_config(write_config(tmp_path, {"corpus": str(copy)}))
+        assert relative.corpus != absolute.corpus
+        assert relative.config_hash == absolute.config_hash
 
     def test_key_order_is_irrelevant(self, tmp_path):
         a = write_config(tmp_path, name="a.json")

@@ -11,8 +11,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "relrank"
 
 # Functions that read a file themselves, each for a reason of its own.
 ALLOWED = {
-    "text.file_digest":
-        "hashes an input's raw bytes and decodes nothing",
     "config.load_config":
         "reads one JSON document, whose every error is a config error",
     "text.default_stopwords":

@@ -1,5 +1,6 @@
 """Tests for tokenization, stemming, vocabulary, and IDF."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from relrank.errors import ConfigError, DataError
+from relrank.files import file_digest
 from relrank.text import (
     OOV_ID,
     IdfTable,
@@ -263,8 +265,8 @@ class TestCorpusIngestion:
         p2 = tmp_path / "b.jsonl"
         self._write(p1, [{"id": "d", "text": "alpha beta"}])
         self._write(p2, [{"id": "d", "text": "alpha gamma"}])
-        pipe = TextPipeline()
-        assert process_corpus(p1, pipe).corpus_digest != process_corpus(p2, pipe).corpus_digest
+        assert file_digest(p1) != file_digest(p2)
+        assert file_digest(p1) == hashlib.sha256(p1.read_bytes()).hexdigest()
 
 
 class TestQueryIngestion:
