@@ -78,6 +78,12 @@ class PipelineConfig:
                 f"n_candidates must be a positive integer, got {self.n_candidates!r}")
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.extra_features, bool):
+            raise ConfigError(
+                f"extra_features must be true or false, got {self.extra_features!r}")
+        if not isinstance(self.date_cutoff_field, (str, type(None))):
+            raise ConfigError(f"date_cutoff_field must be a string or null, "
+                              f"got {self.date_cutoff_field!r}")
         for name in _PATH_FIELDS:
             if not isinstance(value := getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a path or null, got {value!r}")
@@ -85,6 +91,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"embedding_format must be 'text' or 'binary', "
                 f"got {self.embedding_format!r}")
+        if not isinstance(self.training, dict):
+            raise ConfigError("training must be a JSON object")
         unknown = set(self.training) - set(_TRAINING_KEYS)
         if unknown:
             raise ConfigError(

@@ -111,15 +111,16 @@ def cosine_attention(q_ctx: Tensor, d_ctx: Tensor) -> Tensor:
 
 
 def max_kmax_pool(scores: Tensor, k: int) -> Tensor:
-    """Row-wise <max, mean of k largest>; k is capped at the row length."""
+    """Row-wise <max, mean of k largest>; k is capped at the row length.
+
+    The max is the k-max's first column: the same element as ``max``
+    picks, since both take the earlier index on ties."""
     if scores.ndim != 2 or scores.shape[1] < 1:
         raise ValueError(f"expected a nonempty (n, m) score matrix, got {scores.shape}")
     if k < 1:
         raise ConfigError(f"pool depth must be >= 1, got {k}")
-    kk = min(k, scores.shape[1])
-    best = scores.max(axis=1)
-    avg_topk = scores.kmax(kk).mean(axis=1)
-    return stack([best, avg_topk], axis=1)
+    top = scores.kmax(min(k, scores.shape[1]))
+    return stack([top[:, 0], top.mean(axis=1)], axis=1)
 
 
 # ---------------------------------------------------------------------------

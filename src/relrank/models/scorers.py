@@ -11,9 +11,11 @@ rows before the head.  With extra features on, that score is then mixed
 linearly with the four extra features; ``bm25-extra`` is the mix alone.
 
 ``score`` returns a scalar autodiff tensor so the training loop can
-backpropagate through it.  ``doc_state`` returns the per-document value
-worth caching while parameters are frozen (the recurrent document
-encoding), or None for models without one.  Each model holds its
+backpropagate through it.  Its ``context`` argument, the pair's query and
+document encodings computed beforehand with parameters frozen (reranking
+encodes a whole candidate list in one pass), stands in for running the
+encoder; it is None when a pair is scored alone and for models without
+an encoder.  Each model holds its
 parameters in one ParameterSet, registered in the order rows, head,
 aggregation, ``combine.*``; that order is the checkpoint layout.
 """
@@ -50,7 +52,7 @@ GATE_MODES = ("emb+idf", "emb", "idf")
 class Scorer:
     """rows -> head -> aggregation, optionally mixed with the extra features.
 
-    ``rows_stage(model, pair, doc_state, dropout_rng)`` returns the rows;
+    ``rows_stage(model, pair, context, dropout_rng)`` returns the rows;
     it is None only for the baseline.  The builders below assemble one
     scorer per registry name.
     """
@@ -76,24 +78,26 @@ class Scorer:
     def _vectors(self, frozen: np.ndarray, rows: np.ndarray) -> Tensor:
         return Tensor(frozen) if self.emb is None else gather_rows(self.emb, rows)
 
-    def view(self, name: str, pair: PairInput, doc_state=None, dropout_rng=None):
+    def view(self, name: str, pair: PairInput, context=None, dropout_rng=None):
         """One view of the pair as (query side, document side): ``context``
-        encodings, raw ``embedding`` vectors, or ``exact``-match keys."""
+        encodings, raw ``embedding`` vectors, or ``exact``-match keys.
+
+        ``context``, the (query, document) encodings as arrays, stands in
+        for running the encoder."""
         if name == "exact":
             return pair.q_keys, pair.d_keys
+        if name == "context" and context is not None:
+            return Tensor(context[0]), Tensor(context[1])
         q = self._vectors(pair.q_emb, pair.q_rows)
+        d = self._vectors(pair.d_emb, pair.d_rows)
         if name == "embedding":
-            return q, self._vectors(pair.d_emb, pair.d_rows)
-        q_ctx = self.encoder.encode(q, dropout_rng)
-        if doc_state is not None:
-            return q_ctx, Tensor(doc_state)
-        return q_ctx, self.encoder.encode(self._vectors(pair.d_emb, pair.d_rows),
-                                          dropout_rng)
+            return q, d
+        return self.encoder.encode(q, dropout_rng), self.encoder.encode(d, dropout_rng)
 
-    def rows(self, pair: PairInput, doc_state=None, dropout_rng=None) -> Tensor:
+    def rows(self, pair: PairInput, context=None, dropout_rng=None) -> Tensor:
         """The document-aware rows: one per query term, or max_query_terms
         rows (padded or truncated) for the convolutional models."""
-        return self.rows_stage(self, pair, doc_state, dropout_rng)
+        return self.rows_stage(self, pair, context, dropout_rng)
 
     def gate_inputs(self, pair: PairInput) -> Tensor:
         """Per-q-term gate inputs: embedding, IDF, or the two side by side."""
@@ -103,22 +107,17 @@ class Scorer:
         q = self._vectors(pair.q_emb, pair.q_rows)
         return q if self.gate_mode == "emb" else concat([q, idf], axis=1)
 
-    def doc_state(self, pair: PairInput):
-        if self.encoder is None:
-            return None
-        return self.encoder.encode(self._vectors(pair.d_emb, pair.d_rows)).data
-
-    def score(self, pair: PairInput, doc_state=None, dropout_rng=None) -> Tensor:
+    def score(self, pair: PairInput, context=None, dropout_rng=None) -> Tensor:
         p = self.params
         if not self.extra:
-            return self._aggregate(pair, self.rows(pair, doc_state, dropout_rng))
+            return self._aggregate(pair, self.rows(pair, context, dropout_rng))
         if pair.extra is None:
             raise ConfigError(
                 f"model {self.name!r} needs extra features on every pair")
         total = dot(p["combine.w_extra"], Tensor(pair.extra)) + p["combine.b"]
         if self.rows_stage is None:
             return total
-        base = self._aggregate(pair, self.rows(pair, doc_state, dropout_rng))
+        base = self._aggregate(pair, self.rows(pair, context, dropout_rng))
         return total + base * p["combine.w_model"]
 
     def _aggregate(self, pair: PairInput, rows: Tensor) -> Tensor:
@@ -193,7 +192,7 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
               model.params.add(f"conv{n}.b", np.zeros(filters)))
              for n in range(2, max_kernel + 1)]
 
-    def rows(model, pair, doc_state, dropout_rng):
+    def rows(model, pair, context, dropout_rng):
         # Looked up at call time, so a wrapper put on autodiff.conv2d (the
         # benchmark's tracer) sees every call.
         from ..autodiff import conv2d
@@ -228,7 +227,7 @@ def _drmm(dim: int, rng, buckets: int = 30, hidden=None,
     the graph: no gradient reaches the embeddings, only the head and gate."""
     edges = histogram_edges(buckets)
 
-    def rows(model, pair, doc_state, dropout_rng):
+    def rows(model, pair, context, dropout_rng):
         hists = np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
                           for q_vec in pair.q_emb])
         return Tensor(np.log1p(hists))
@@ -272,10 +271,10 @@ def _attention(views):
               emb_matrix=None) -> Scorer:
         width = 2 * dim
 
-        def rows(model, pair, doc_state, dropout_rng):
+        def rows(model, pair, context, dropout_rng):
             phi = None
             for view in views:
-                q, d = model.view(view, pair, doc_state, dropout_rng)
+                q, d = model.view(view, pair, context, dropout_rng)
                 if view == "embedding":  # duplicated to the encodings' width
                     q, d = concat([q, q], axis=1), concat([d, d], axis=1)
                 elif view == "exact":  # hashed one-hots
@@ -303,10 +302,10 @@ def _pooled(views):
         if k < 1:
             raise ConfigError(f"pool depth must be >= 1, got {k}")
 
-        def rows(model, pair, doc_state, dropout_rng):
+        def rows(model, pair, context, dropout_rng):
             feats = []
             for view in views:
-                q, d = model.view(view, pair, doc_state, dropout_rng)
+                q, d = model.view(view, pair, context, dropout_rng)
                 sims = (Tensor(equality_matrix(q, d)) if view == "exact"
                         else cosine_attention(q, d))
                 feats.append(max_kmax_pool(sims, k))
@@ -352,12 +351,19 @@ def build_model(name: str, dim: int, rng, extra_features: bool = False,
             builder = _BUILDERS[name]
         except KeyError:
             raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
-        accepted = set(inspect.signature(builder).parameters) - {"dim", "rng"}
-        unknown = set(hyper) - accepted
+        defaults = {key: p.default for key, p in
+                    inspect.signature(builder).parameters.items()
+                    if key not in ("dim", "rng", "emb_matrix")}
+        unknown = set(hyper) - set(defaults)
         if unknown:
             raise ConfigError(
                 f"unknown {name} hyperparameters {sorted(unknown)}; "
-                f"accepted: {sorted(accepted - {'emb_matrix'})}")
+                f"accepted: {sorted(defaults)}")
+        for key, value in hyper.items():
+            want = _wrong_type(value, defaults[key])
+            if want:
+                raise ConfigError(f"hyperparameters.{key} of {name} must be "
+                                  f"{want}, got {value!r}")
         if hyper.get("trainable_embeddings"):
             hyper = dict(hyper, emb_matrix=emb_matrix)
         model = builder(dim, rng, **hyper)
@@ -365,6 +371,27 @@ def build_model(name: str, dim: int, rng, extra_features: bool = False,
     if name == BASELINE or extra_features:
         _add_extra(model)
     return model
+
+
+def _wrong_type(value, default) -> str | None:
+    """What ``value`` should be, if its JSON type is not that of the
+    builder's ``default``; a bool is not a number."""
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = number and isinstance(value, int), "an integer"
+    elif isinstance(default, float):
+        ok, want = number, "a number"
+    elif isinstance(default, str):
+        ok, want = isinstance(value, str), "a string"
+    else:  # hidden layer sizes; a default of None lets the builder choose
+        ok = (default is None and value is None) or (
+            isinstance(value, (list, tuple))
+            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+                    for v in value))
+        want = "a list of positive integers" + (" or null" if default is None else "")
+    return None if ok else want
 
 
 def _add_extra(model: Scorer) -> None:

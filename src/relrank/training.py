@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,16 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        # The JSON type of each field is its default's; a bool is not a number.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integer = isinstance(f.default, int)
+            if isinstance(value, bool) or not isinstance(
+                    value, int if integer else (int, float)):
+                raise ConfigError(
+                    f"{'seed' if f.name == 'seed' else 'training.' + f.name} "
+                    f"must be {'an integer' if integer else 'a number'}, "
+                    f"got {value!r}")
         if self.margin <= 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
         if self.batch_size < 1:

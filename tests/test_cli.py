@@ -436,6 +436,19 @@ class TestErrorReporting:
             f"error[config]: {name} must be a path or null")
 
 
+    @pytest.mark.parametrize("override,message", [
+        ('hyperparameters.k="x"',
+         "hyperparameters.k of pooled-drmm-mv must be an integer, got 'x'"),
+        ("hyperparameters.dropout=true",
+         "hyperparameters.dropout of pooled-drmm-mv must be a number, got True"),
+        ("training.epochs=true", "training.epochs must be an integer, got True"),
+        ("extra_features=5", "extra_features must be true or false, got 5"),
+    ])
+    def test_value_of_another_type(self, ws, capsys, override, message):
+        assert main(["train", ws.cfg, "--set", override]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config]: {message}")
+
+
 class TestAnyDirectory:
     def test_every_file_is_byte_identical(self, tmp_path):
         """One workspace, built and run in two directories at different

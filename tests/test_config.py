@@ -174,6 +174,16 @@ class TestValidation:
         ("training", {"momentum": 0.9}, "unknown training keys"),
         ("training", {"epochs": 0}, "epoch budget"),
         ("hyperparameters", ["k", 3], "JSON object"),
+        ("extra_features", 5, "extra_features must be true or false, got 5"),
+        ("extra_features", "false", "extra_features must be true or false"),
+        ("date_cutoff_field", 5, "date_cutoff_field must be a string or null, got 5"),
+        ("training", 5, "training must be a JSON object"),
+        ("training", {"epochs": True}, "training.epochs must be an integer, got True"),
+        ("training", {"epochs": "x"}, "training.epochs must be an integer, got 'x'"),
+        ("training", {"epochs": 2.0}, "training.epochs must be an integer"),
+        ("training", {"batch_size": "8"}, "training.batch_size must be an integer"),
+        ("training", {"learning_rate": "0.1"}, "training.learning_rate must be a number"),
+        ("training", {"margin": True}, "training.margin must be a number"),
     ])
     def test_bad_values(self, field, value, message):
         with pytest.raises(ConfigError, match=message):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relrank.autodiff import ParameterSet, Tensor, gather_rows, grad_check
+from relrank.autodiff import ParameterSet, Tensor, gather_rows, grad_check, no_grad
 from relrank.encoder import BiRnnEncoder, LstmCell, orthogonal_matrix
 from relrank.errors import ConfigError
 
@@ -336,3 +336,109 @@ class TestDropout:
         # Same mask stream reproduces the same output.
         c = enc.encode(x, dropout_rng=np.random.default_rng(2)).data
         np.testing.assert_array_equal(a, c)
+
+
+def random_encoder(d, rng):
+    """An encoder with non-zero biases, so no gate sits at a symmetric point."""
+    enc = BiRnnEncoder(d, rng)
+    for cell in (enc.forward_cell, enc.backward_cell):
+        cell.bias.data[:] = rng.standard_normal(4 * d)
+    return enc
+
+
+class TestBatchedPass:
+    """``encode_batch`` runs many sequences through one padded ``scan`` per
+    direction and must give each the bits of encoding it alone."""
+
+    def test_step_rows_do_not_depend_on_the_block(self):
+        rng = np.random.default_rng(30)
+        for _ in range(60):
+            d, b = int(rng.integers(1, 40)), int(rng.integers(3, 70))
+            cell = LstmCell(d, rng)
+            cell.bias.data[:] = rng.standard_normal(4 * d)
+            zx = rng.standard_normal((b, 4 * d))
+            h, c = rng.standard_normal((b, d)), rng.standard_normal((b, d))
+            block = cell.step(zx, h, c)
+            for i in rng.choice(b, size=3, replace=False):
+                alone = cell.step(zx[i:i + 1], h[i:i + 1], c[i:i + 1])
+                prefix = cell.step(zx[:i + 1], h[:i + 1], c[:i + 1])
+                for whole, one, first in zip(block, alone, prefix):
+                    np.testing.assert_array_equal(whole[i:i + 1], one)
+                    np.testing.assert_array_equal(whole[:i + 1], first)
+
+    def test_each_sequence_is_bitwise_its_encoding_alone(self):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            d = int(rng.integers(1, 12))
+            enc = random_encoder(d, rng)
+            lengths = rng.integers(1, 25, size=int(rng.integers(1, 10)))
+            lengths[rng.integers(len(lengths))] = 1  # a 1-token sequence
+            xs = [rng.standard_normal((n, d)) for n in lengths]
+            for x, got in zip(xs, enc.encode_batch(xs)):
+                np.testing.assert_array_equal(got, enc.encode(Tensor(x)).data)
+                with no_grad():
+                    np.testing.assert_array_equal(
+                        got, enc.encode(Tensor(x)).data)
+
+    def test_order_and_company_do_not_matter(self):
+        rng = np.random.default_rng(32)
+        enc = random_encoder(5, rng)
+        xs = [rng.standard_normal((n, 5)) for n in (7, 1, 12, 7, 3)]
+        batch = enc.encode_batch(xs)
+        perm = rng.permutation(len(xs))
+        shuffled = enc.encode_batch([xs[i] for i in perm])
+        for j, i in enumerate(perm):
+            np.testing.assert_array_equal(shuffled[j], batch[i])
+        np.testing.assert_array_equal(enc.encode_batch(xs[1:2])[0], batch[1])
+        assert enc.encode_batch([]) == []
+
+    def test_padding_never_changes_a_live_row(self):
+        # Padded entries of the block hold NaN; a live row that read one,
+        # through the gemm or the state, would turn NaN.
+        rng = np.random.default_rng(33)
+        d = 4
+        cell = LstmCell(d, rng)
+        cell.bias.data[:] = rng.standard_normal(4 * d)
+        lengths = np.array([9, 6, 6, 2, 1])
+        zx = np.full((9, len(lengths), 4 * d), np.nan)
+        for col, n in enumerate(lengths):
+            zx[:n, col] = rng.standard_normal((n, 4 * d))
+        hidden = cell.scan(zx, lengths)
+        for col, n in enumerate(lengths):
+            alone = cell.scan(zx[:n, col:col + 1].copy(), np.array([n]))
+            np.testing.assert_array_equal(hidden[:n, col], alone[:, 0])
+            assert np.isfinite(hidden[:n, col]).all()
+            np.testing.assert_array_equal(hidden[n:, col], 0.0)
+
+    def test_reverse_direction_starts_at_each_last_token(self):
+        # Each sequence's last backward state sees only its own last token.
+        rng = np.random.default_rng(34)
+        enc = random_encoder(3, rng)
+        xs = [rng.standard_normal((n, 3)) for n in (6, 2, 4)]
+        for x, got in zip(xs, enc.encode_batch(xs)):
+            last = enc.encode(Tensor(x[-1:])).data[0]
+            np.testing.assert_array_equal(got[-1, 3:], last[3:])
+
+    def test_one_block_costs_its_longest_length_in_steps(self, monkeypatch):
+        calls = []
+        original = LstmCell.step
+
+        def counted(self, zx, h, c):
+            calls.append((self, len(zx)))
+            return original(self, zx, h, c)
+
+        monkeypatch.setattr(LstmCell, "step", counted)
+        rng = np.random.default_rng(35)
+        enc = BiRnnEncoder(3, rng)
+        lengths = [3, 9, 1, 5]
+        enc.encode_batch([rng.standard_normal((n, 3)) for n in lengths])
+        for cell in (enc.forward_cell, enc.backward_cell):
+            rows = [b for owner, b in calls if owner is cell]
+            assert len(rows) == 9
+            # Only the live sequences step: 4, 3 (twice), 2 (twice), 1 (four times).
+            assert sum(rows) == sum(lengths)
+
+    def test_dim_mismatch_rejected(self):
+        enc = BiRnnEncoder(4, np.random.default_rng(36))
+        with pytest.raises(ConfigError, match="expects"):
+            enc.encode_batch([np.zeros((3, 4)), np.zeros((2, 5))])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from relrank.autodiff import Tensor, grad_check
+from relrank.autodiff import Tensor, grad_check, stack
 from relrank.errors import ConfigError
 from relrank.models import PairInput, build_model
 from relrank.models.interactions import (
@@ -302,6 +302,27 @@ class TestPooling:
         rep = grad_check(lambda m: max_kmax_pool(m, 2).sum(),
                          [rng.standard_normal((3, 6))])
         assert rep.passed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    def test_max_from_kmax_is_bitwise_the_max_op(self, k):
+        # The max read from the k-max's first column must give the values
+        # and input gradients of a separate ``max`` beside the ``kmax``.
+        # Few distinct values force ties; k = 5 and 9 reach or pass the
+        # 5-column rows.
+        rng = np.random.default_rng(16 + k)
+        for trial in range(40):
+            rows = rng.choice([-0.5, 0.0, 0.25, 1.0], size=(4, 5))
+            if trial % 2:
+                rows = rows + rng.standard_normal((4, 5)) * 1e-3
+            upstream = rng.standard_normal((4, 2))
+            got_in, want_in = Tensor(rows.copy()), Tensor(rows.copy())
+            got = max_kmax_pool(got_in, k)
+            top = want_in.kmax(min(k, 5))
+            want = stack([want_in.max(axis=1), top.mean(axis=1)], axis=1)
+            np.testing.assert_array_equal(got.data, want.data)
+            (got * Tensor(upstream)).sum().backward()
+            (want * Tensor(upstream)).sum().backward()
+            np.testing.assert_array_equal(got_in.grad, want_in.grad)
 
 
 class TestExactMatchSignals:

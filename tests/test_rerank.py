@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from relrank.autodiff import Tensor, no_grad
+from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
 from relrank.models import build_model, build_pair_input
 from relrank.models.interactions import cosine_attention
-from relrank.rerank import inspect_interactions, rerank_candidates
+from relrank.rerank import PairBuilder, inspect_interactions, rerank_candidates
+from relrank.text import ProcessedDocument, ProcessedQuery
 from relrank.trec import ranked_list_from_scores
 from support import toy_world
 
@@ -102,6 +104,112 @@ class TestRerankCandidates:
         model = build_model("pooled-drmm", 4, np.random.default_rng(5), k=2)
         for ranked in rerank_candidates(model, data.builder):
             ranked.validate()
+
+
+def varied_builder(seed):
+    """The toy world with queries of 1-4 terms and documents of 1-12, so a
+    candidate list's sequences differ in length; shared documents stay."""
+    b = world(seed=seed, with_extra=True).builder
+    rng = np.random.default_rng(seed)
+    vocab = len(b.emb.rows)  # OOV row included
+    def terms(most):
+        return [int(t) for t in rng.integers(0, vocab, int(rng.integers(1, most + 1)))]
+    queries = [ProcessedQuery(q.query_id, ts, [f"t{t}" for t in ts])
+               for q in b.queries.values() for ts in [terms(4)]]
+    documents = [ProcessedDocument(d.doc_id, terms(12)) for d in b.documents.values()]
+    return PairBuilder(queries, documents, b.candidates, b.emb, b.idf,
+                       with_extra=True)
+
+
+def scores_alone(model, builder, ranked):
+    with no_grad():
+        return {c.doc_id: float(model.score(builder.pair(ranked.query_id,
+                                                         c.doc_id)).data)
+                for c in ranked.entries}
+
+
+class TestBatchedRerank:
+    """Each list's query and uncached documents are encoded in one pass."""
+
+    @pytest.mark.parametrize("name,hyper", [
+        ("pooled-drmm-mv", {"k": 2}),
+        ("pooled-drmm", {"k": 3, "trainable_embeddings": True}),
+        ("attn-drmm", {}),
+        ("attn-drmm-mv", {"trainable_embeddings": True}),
+    ])
+    def test_every_score_is_bitwise_the_pair_alone(self, name, hyper):
+        builder = varied_builder(7)
+        model = build_model(name, 4, np.random.default_rng(8),
+                            extra_features=True, emb_matrix=builder.emb, **hyper)
+        for ranked in rerank_candidates(model, builder):
+            alone = scores_alone(model, builder, ranked)
+            assert {c.doc_id: c.score for c in ranked.entries} == alone
+
+    def test_shuffled_list_gives_the_same_score_bits(self):
+        builder = varied_builder(9)
+        model = build_model("attn-drmm-mv", 4, np.random.default_rng(10),
+                            extra_features=True)
+        rng = np.random.default_rng(11)
+        shuffled = {
+            qid: ranked_list_from_scores(qid, [(d, float(s)) for d, s in zip(
+                ranked.doc_ids(), rng.permutation(len(ranked.entries)))])
+            for qid, ranked in builder.candidates.items()}
+        assert any(shuffled[q].doc_ids() != r.doc_ids()
+                   for q, r in builder.candidates.items())
+        runs = {r.query_id: r for r in rerank_candidates(model, builder)}
+        for ranked in rerank_candidates(model, builder, shuffled):
+            assert ranked == runs[ranked.query_id]
+
+    def test_query_once_per_list_and_documents_once_per_call(self, monkeypatch):
+        batches = []
+        original = BiRnnEncoder.encode_batch
+
+        def recorded(self, xs):
+            batches.append([x.copy() for x in xs])
+            return original(self, xs)
+
+        def refused(self, *args, **kwargs):
+            raise AssertionError("a reranked pair ran the encoder on its own")
+
+        monkeypatch.setattr(BiRnnEncoder, "encode_batch", recorded)
+        monkeypatch.setattr(BiRnnEncoder, "encode", refused)
+        builder = varied_builder(12)
+        model = build_model("pooled-drmm-mv", 4, np.random.default_rng(13),
+                            extra_features=True)
+        lists = builder.candidates
+        rerank_candidates(model, builder)
+        assert len(batches) == len(lists)
+        seen = set()
+        for batch, qid in zip(batches, sorted(lists)):
+            np.testing.assert_array_equal(
+                batch[0], builder.emb.rows[builder.emb.resolve(
+                    builder.queries[qid].terms)])
+            new = [d for d in lists[qid].doc_ids() if d not in seen]
+            seen.update(new)
+            assert len(batch) == 1 + len(new)
+            for x, doc_id in zip(batch[1:], new):
+                np.testing.assert_array_equal(x, builder.pair(qid, doc_id).d_emb)
+        assert len(seen) < sum(len(r.entries) for r in lists.values())
+
+    def test_one_list_costs_its_longest_sequence_in_steps(self, monkeypatch):
+        calls = []
+        original = LstmCell.step
+
+        def counted(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(LstmCell, "step", counted)
+        builder = varied_builder(14)
+        model = build_model("attn-drmm", 4, np.random.default_rng(15))
+        qid = sorted(builder.candidates)[0]
+        ranked = builder.candidates[qid]
+        rerank_candidates(model, builder, {qid: ranked})
+        lengths = [len(builder.queries[qid].terms)] + [
+            len(builder.documents[d].terms) for d in ranked.doc_ids()]
+        assert sum(lengths) > max(lengths)
+        for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+            assert calls.count(cell) == max(lengths)
 
 
 class TestInspectInteractions:

@@ -464,7 +464,7 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(22)
         model = build_model("attn-drmm", 2, rng)
         pair = make_pair(rng, 3, 1, 2)
-        d_ctx = model.doc_state(pair)
+        d_ctx = model.encoder.encode(Tensor(pair.d_emb)).data
         q_ctx = model.encoder.encode(Tensor(pair.q_emb)).data
         expect = l2n_np(np.repeat(d_ctx, 3, axis=0)) * l2n_np(q_ctx)
         got = model.rows(pair).data
@@ -474,7 +474,8 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(23)
         model = build_model("attn-drmm", 3, rng)
         pair = make_pair(rng, 2, 5, 3)
-        cached = model.score(pair, doc_state=model.doc_state(pair)).data
+        context = model.encoder.encode_batch([pair.q_emb, pair.d_emb])
+        cached = model.score(pair, context=context).data
         assert model.score(pair).data == cached
 
     def test_multiview_sums_three_views(self):
@@ -736,6 +737,38 @@ class TestRegistry:
     def test_unknown_hyperparameter_rejected(self):
         with pytest.raises(ConfigError, match="hyperparameters"):
             build_model("drmm", 3, np.random.default_rng(0), bogus=1)
+
+    @pytest.mark.parametrize("name,key,value,want", [
+        ("pooled-drmm", "k", "x", "an integer"),
+        ("pooled-drmm", "k", 2.5, "an integer"),
+        ("pooled-drmm", "k", True, "an integer"),
+        ("pooled-drmm", "dropout", "0.1", "a number"),
+        ("pooled-drmm", "dropout", False, "a number"),
+        ("pooled-drmm", "gate_mode", 1, "a string"),
+        ("pooled-drmm", "trainable_embeddings", 1, "true or false"),
+        ("attn-drmm", "hidden", "ab", "a list of positive integers or null"),
+        ("attn-drmm", "hidden", [4, "8"], "a list of positive integers or null"),
+        ("attn-drmm", "hidden", [True], "a list of positive integers or null"),
+        ("attn-drmm", "hidden", [0], "a list of positive integers or null"),
+        ("drmm", "buckets", 3.0, "an integer"),
+        ("pacrr", "hidden", None, "a list of positive integers"),
+        ("pacrr", "filters", "16", "an integer"),
+    ])
+    def test_hyperparameter_of_another_type_rejected(self, name, key, value, want):
+        with pytest.raises(ConfigError) as info:
+            build_model(name, 3, np.random.default_rng(0), **{key: value})
+        assert str(info.value) == (f"hyperparameters.{key} of {name} must be "
+                                   f"{want}, got {value!r}")
+
+    @pytest.mark.parametrize("name,hyper", [
+        ("pooled-drmm", {"k": 3, "dropout": 0, "trainable_embeddings": False}),
+        ("pooled-drmm", {"dropout": 0.25, "gate_mode": "idf"}),
+        ("attn-drmm", {"hidden": None}),
+        ("attn-drmm", {"hidden": [4, 2]}),
+        ("pacrr", {"hidden": []}),
+    ])
+    def test_hyperparameters_of_the_default_type_accepted(self, name, hyper):
+        build_model(name, 3, np.random.default_rng(0), **hyper)
 
     def test_baseline_takes_no_hyperparameters(self):
         with pytest.raises(ConfigError, match="no hyperparameters"):

@@ -214,6 +214,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("kw,message", [
+        ({"epochs": True}, "training.epochs must be an integer, got True"),
+        ({"patience": 2.5}, "training.patience must be an integer"),
+        ({"clip_norm": "5"}, "training.clip_norm must be a number"),
+        ({"seed": 1.0}, "seed must be an integer"),
+    ])
+    def test_rejects_values_of_another_type(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**kw)
+
+    def test_integer_learning_rate_is_a_number(self):
+        assert TrainConfig(learning_rate=1, margin=2).learning_rate == 1
+
     def test_serialization_round_trip(self):
         config = TrainConfig(epochs=3, seed=7)
         assert TrainConfig(**dataclasses.asdict(config)) == config
@@ -231,7 +244,7 @@ class CountingScorer(Scorer):
         self.calls = 0
         self.poison_after = poison_after
 
-    def score(self, pair, doc_state=None, dropout_rng=None):
+    def score(self, pair, context=None, dropout_rng=None):
         self.calls += 1
         if self.poison_after is not None and self.calls > self.poison_after:
             return Tensor(float("nan")) * self.w
@@ -247,7 +260,7 @@ class FrozenScorer(Scorer):
         super().__init__()
         self.w = self.params.add("w", np.zeros(()))
 
-    def score(self, pair, doc_state=None, dropout_rng=None):
+    def score(self, pair, context=None, dropout_rng=None):
         return self.w * 0.0
 
 
@@ -261,7 +274,7 @@ class OverflowScorer(Scorer):
         super().__init__()
         self.w = self.params.add("w", np.zeros(()))
 
-    def score(self, pair, doc_state=None, dropout_rng=None):
+    def score(self, pair, context=None, dropout_rng=None):
         return self.w * 1e200 * 1e200
 
 
