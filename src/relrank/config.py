@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .embeddings import FORMATS
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_type
 from .files import file_digest, read_lines, write_json
 from .training import TrainConfig
 
@@ -69,18 +69,12 @@ class PipelineConfig:
     training: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        from .models import model_names
-        if self.model not in model_names():
-            raise ConfigError(
-                f"unknown model {self.model!r}; choose from {model_names()}")
+        from .models import check_hyperparameters
         if type(self.n_candidates) is not int or self.n_candidates < 1:
             raise ConfigError(
                 f"n_candidates must be a positive integer, got {self.n_candidates!r}")
-        if type(self.seed) is not int:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.extra_features, bool):
-            raise ConfigError(
-                f"extra_features must be true or false, got {self.extra_features!r}")
+        check_type("seed", self.seed, 0)
+        check_type("extra_features", self.extra_features, True)
         if not isinstance(self.date_cutoff_field, (str, type(None))):
             raise ConfigError(f"date_cutoff_field must be a string or null, "
                               f"got {self.date_cutoff_field!r}")
@@ -100,7 +94,9 @@ class PipelineConfig:
                 f"accepted: {sorted(_TRAINING_KEYS)}")
         if not isinstance(self.hyperparameters, dict):
             raise ConfigError("hyperparameters must be a JSON object")
-        # Validate value ranges eagerly so typos fail before any work starts.
+        # Validate the model and its settings eagerly, so typos fail before
+        # any stage reads a file.
+        check_hyperparameters(self.model, self.hyperparameters)
         self.train_config()
         # The inputs require_inputs checked, by name; not a field, so the
         # config hash and the per-fold configs xval writes leave it out.

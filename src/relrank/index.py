@@ -48,26 +48,9 @@ class InvertedIndex:
         self.stopword_hash = stopword_hash
         self.corpus_digest = corpus_digest
         self.avg_doc_length = float(self.doc_lengths.mean())
-        self._positions = {did: i for i, did in enumerate(self.doc_ids)}
 
     def __len__(self) -> int:
         return len(self.doc_ids)
-
-    def position_of(self, doc_id: str) -> int:
-        try:
-            return self._positions[doc_id]
-        except KeyError:
-            raise DataError(f"unknown doc_id {doc_id!r}")
-
-    def term_frequency(self, term_id: int, position: int) -> int:
-        """tf of a term in the document at the given position (0 if absent)."""
-        if not 0 <= term_id < len(self.postings):
-            return 0
-        plist = self.postings[term_id]
-        i = np.searchsorted(plist[:, 0], position)
-        if i < plist.shape[0] and plist[i, 0] == position:
-            return int(plist[i, 1])
-        return 0
 
 
 def build_index(documents, vocabulary: Vocabulary, idf: IdfTable,
@@ -112,14 +95,17 @@ def bm25_score(query, doc_id: str, index: InvertedIndex,
                k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> float:
     """BM25 score of one document; additive over query terms, 0 for terms
     absent from the document (including out-of-vocabulary terms)."""
-    pos = index.position_of(doc_id)
+    if doc_id not in index.doc_ids:
+        raise DataError(f"unknown doc_id {doc_id!r}")
+    pos = index.doc_ids.index(doc_id)
     dl = float(index.doc_lengths[pos])
     norm = k1 * (1.0 - b + b * dl / index.avg_doc_length)
     score = 0.0
     for tid in query.terms:
-        tf = index.term_frequency(tid, pos)
-        if tf:
-            score += index.idf.idf_of(tid) * tf * (k1 + 1.0) / (tf + norm)
+        if 0 <= tid < len(index.postings):
+            plist = index.postings[tid]
+            for tf in plist[plist[:, 0] == pos, 1].tolist():  # one or none
+                score += index.idf.idf_of(tid) * tf * (k1 + 1.0) / (tf + norm)
     return score
 
 

@@ -2,9 +2,9 @@
 
 from .features import ExtraFeatureBuilder, ExtraFeatures
 from .inputs import PairInput, build_pair_input
-from .scorers import BASELINE, Scorer, build_model, model_names
+from .scorers import BASELINE, Scorer, build_model, check_hyperparameters, model_names
 
 __all__ = [
     "BASELINE", "ExtraFeatureBuilder", "ExtraFeatures", "PairInput", "Scorer",
-    "build_model", "build_pair_input", "model_names",
+    "build_model", "build_pair_input", "check_hyperparameters", "model_names",
 ]

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows
 from ..encoder import BiRnnEncoder
-from ..errors import ConfigError
+from ..errors import ConfigError, check_type
 from .components import Mlp, glorot_uniform
 from .interactions import (
     attended_match_vectors,
@@ -333,65 +333,54 @@ def model_names() -> list[str]:
     return sorted([*_BUILDERS, BASELINE])
 
 
-def build_model(name: str, dim: int, rng, extra_features: bool = False,
-                emb_matrix=None, **hyper) -> Scorer:
-    """Construct a scorer by registry name.
-
-    Unknown hyperparameter keys are rejected up front so config typos fail
-    loudly instead of silently using defaults.  ``extra_features`` adds the
-    linear mix with the extra features (``combine.*``) as the last stage.
-    """
+def check_hyperparameters(name: str, hyper: dict) -> None:
+    """Reject an unknown model, a hyperparameter its builder does not take
+    (``bm25-extra`` takes none), or one whose JSON type is not that of the
+    builder's default; layer sizes (``hidden``) are positive integers."""
+    if name not in model_names():
+        raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
     if name == BASELINE:
         if hyper:
             raise ConfigError(
                 f"{BASELINE} takes no hyperparameters, got {sorted(hyper)}")
+        return
+    defaults = {key: p.default for key, p in
+                inspect.signature(_BUILDERS[name]).parameters.items()
+                if key not in ("dim", "rng", "emb_matrix")}
+    unknown = set(hyper) - set(defaults)
+    if unknown:
+        raise ConfigError(
+            f"unknown {name} hyperparameters {sorted(unknown)}; "
+            f"accepted: {sorted(defaults)}")
+    for key, value in hyper.items():
+        field, default = f"hyperparameters.{key} of {name}", defaults[key]
+        if default is not None and not isinstance(default, tuple):
+            check_type(field, value, default)
+        elif not (default is None and value is None
+                  or isinstance(value, (list, tuple))
+                  and all(type(v) is int and v >= 1 for v in value)):
+            raise ConfigError(f"{field} must be a list of positive integers"
+                              f"{' or null' if default is None else ''}, got {value!r}")
+
+
+def build_model(name: str, dim: int, rng, extra_features: bool = False,
+                emb_matrix=None, **hyper) -> Scorer:
+    """Construct a scorer by registry name, its hyperparameters checked up
+    front so config typos fail loudly instead of silently using defaults.
+    ``extra_features`` adds the linear mix with the extra features
+    (``combine.*``) as the last stage.
+    """
+    check_hyperparameters(name, hyper)
+    if name == BASELINE:
         model = Scorer()
     else:
-        try:
-            builder = _BUILDERS[name]
-        except KeyError:
-            raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
-        defaults = {key: p.default for key, p in
-                    inspect.signature(builder).parameters.items()
-                    if key not in ("dim", "rng", "emb_matrix")}
-        unknown = set(hyper) - set(defaults)
-        if unknown:
-            raise ConfigError(
-                f"unknown {name} hyperparameters {sorted(unknown)}; "
-                f"accepted: {sorted(defaults)}")
-        for key, value in hyper.items():
-            want = _wrong_type(value, defaults[key])
-            if want:
-                raise ConfigError(f"hyperparameters.{key} of {name} must be "
-                                  f"{want}, got {value!r}")
         if hyper.get("trainable_embeddings"):
             hyper = dict(hyper, emb_matrix=emb_matrix)
-        model = builder(dim, rng, **hyper)
+        model = _BUILDERS[name](dim, rng, **hyper)
     model.name = name
     if name == BASELINE or extra_features:
         _add_extra(model)
     return model
-
-
-def _wrong_type(value, default) -> str | None:
-    """What ``value`` should be, if its JSON type is not that of the
-    builder's ``default``; a bool is not a number."""
-    number = not isinstance(value, bool) and isinstance(value, (int, float))
-    if isinstance(default, bool):
-        ok, want = isinstance(value, bool), "true or false"
-    elif isinstance(default, int):
-        ok, want = number and isinstance(value, int), "an integer"
-    elif isinstance(default, float):
-        ok, want = number, "a number"
-    elif isinstance(default, str):
-        ok, want = isinstance(value, str), "a string"
-    else:  # hidden layer sizes; a default of None lets the builder choose
-        ok = (default is None and value is None) or (
-            isinstance(value, (list, tuple))
-            and all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-                    for v in value))
-        want = "a list of positive integers" + (" or null" if default is None else "")
-    return None if ok else want
 
 
 def _add_extra(model: Scorer) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .autodiff import ParameterSet, Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_type
 from .evaluation import evaluate_run
 from .rerank import PairBuilder, rerank_candidates
 from .trec import Qrels, RankedList
@@ -45,16 +45,11 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        # The JSON type of each field is its default's; a bool is not a number.
         for f in fields(self):
-            value = getattr(self, f.name)
-            integer = isinstance(f.default, int)
-            if isinstance(value, bool) or not isinstance(
-                    value, int if integer else (int, float)):
-                raise ConfigError(
-                    f"{'seed' if f.name == 'seed' else 'training.' + f.name} "
-                    f"must be {'an integer' if integer else 'a number'}, "
-                    f"got {value!r}")
+            check_type("seed" if f.name == "seed" else f"training.{f.name}",
+                       getattr(self, f.name), f.default)
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.margin <= 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
         if self.batch_size < 1:
@@ -105,19 +100,19 @@ def pairwise_loss(s_pos: Tensor, s_neg: Tensor, margin: float = 1.0) -> Tensor:
     return (s_neg - s_pos + margin).relu()
 
 
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamState:
     """First/second moment accumulators for one parameter set."""
 
-    def __init__(self, params: ParameterSet, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterSet, learning_rate: float = 0.001):
         if learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {learning_rate}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError("Adam decay rates must lie in [0, 1)")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -137,18 +132,18 @@ def adam_step(params: ParameterSet, state: AdamState) -> bool:
             return False
         grads[name] = grad
     state.t += 1
-    correct1 = 1.0 - state.beta1 ** state.t
-    correct2 = 1.0 - state.beta2 ** state.t
+    correct1 = 1.0 - BETA1 ** state.t
+    correct2 = 1.0 - BETA2 ** state.t
     for name, param in params.items():
         m = state.m[name]
         v = state.v[name]
         grad = grads[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad * grad
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
         param.data -= (state.learning_rate * (m / correct1)
-                       / (np.sqrt(v / correct2) + state.eps))
+                       / (np.sqrt(v / correct2) + EPS))
     return True
 
 

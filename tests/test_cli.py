@@ -448,6 +448,42 @@ class TestErrorReporting:
         assert main(["train", ws.cfg, "--set", override]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {message}")
 
+    # Each once ended in a traceback, a data error about a document's NaN
+    # score, or an exit 0 that saved the untrained parameters.  The last
+    # needs the model built, so it is found after the inputs are read.
+    BAD_VALUES = [
+        ("hyperparameters.extra_features=true",
+         "unknown pooled-drmm-mv hyperparameters ['extra_features']"),
+        ("hyperparameters.emb_matrix=1",
+         "unknown pooled-drmm-mv hyperparameters ['emb_matrix']"),
+        ("training.learning_rate=NaN",
+         "training.learning_rate must be a finite number, got nan"),
+        ("training.margin=Infinity",
+         "training.margin must be a finite number, got inf"),
+        ("hyperparameters.dropout=NaN",
+         "hyperparameters.dropout of pooled-drmm-mv must be a finite number, got nan"),
+        ("seed=-1", "seed must be non-negative, got -1"),
+        ("hyperparameters.dropout=1.0", "dropout must lie in [0, 1), got 1.0"),
+    ]
+
+    @pytest.mark.parametrize("override,message", BAD_VALUES)
+    def test_bad_value_is_one_config_error_and_no_checkpoint(
+            self, ws, capsys, override, message):
+        ckpt = ws.root / "work" / "rejected-ckpt"
+        assert main(["train", ws.cfg, "--set", override,
+                     "--set", f"checkpoints={ckpt}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {message}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("override,message", BAD_VALUES[:-1])
+    def test_bad_value_is_reported_before_any_input_is_read(
+            self, ws, capsys, override, message):
+        assert main(["train", ws.cfg, "--set", override,
+                     "--set", "corpus=absent.jsonl"]) == 2
+        assert capsys.readouterr().err.startswith(f"error[config]: {message}")
+
 
 class TestAnyDirectory:
     def test_every_file_is_byte_identical(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 from relrank.config import (PipelineConfig, apply_override, load_config,
                             read_split)
-from relrank.errors import ConfigError, DataError
+from relrank.errors import ConfigError, DataError, check_type
 
 MINIMAL = {
     "corpus": "corpus.jsonl",
@@ -189,6 +189,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match=message):
             self.base(**{field: value})
 
+    @pytest.mark.parametrize("hyper,message", [
+        ({"extra_features": True}, r"unknown pooled-drmm-mv hyperparameters \['extra_features'\]"),
+        ({"emb_matrix": 1}, r"unknown pooled-drmm-mv hyperparameters \['emb_matrix'\]"),
+        ({"k": "3"}, "hyperparameters.k of pooled-drmm-mv must be an integer"),
+        ({"dropout": float("nan")}, "hyperparameters.dropout of pooled-drmm-mv "
+                                    "must be a finite number, got nan"),
+    ])
+    def test_hyperparameters_checked_at_load(self, hyper, message):
+        with pytest.raises(ConfigError, match=message):
+            self.base(hyperparameters=hyper)
+
+    def test_baseline_hyperparameters_checked_at_load(self):
+        with pytest.raises(ConfigError, match="bm25-extra takes no hyperparameters"):
+            self.base(model="bm25-extra", hyperparameters={"k": 3})
+
     def test_train_config_seed_override(self):
         cfg = self.base(training={"epochs": 4, "learning_rate": 0.01}, seed=9)
         assert cfg.train_config().seed == 9
@@ -274,3 +289,33 @@ class TestReadSplit:
         path.write_text("\n\n")
         with pytest.raises(DataError, match="no query ids"):
             read_split(path)
+
+
+class TestCheckType:
+    """The one JSON-type rule behind every config value."""
+
+    @pytest.mark.parametrize("value,default", [
+        (True, False), (3, 0), (-2, 0), (3, 0.5), (2.5, 0.5), (10**400, 0.5),
+        ("x", "y"),
+    ])
+    def test_accepted(self, value, default):
+        check_type("f", value, default)
+
+    @pytest.mark.parametrize("value,default,want", [
+        (1, False, "true or false"),
+        ("true", False, "true or false"),
+        (True, 0, "an integer"),
+        (2.0, 0, "an integer"),
+        (float("nan"), 0, "an integer"),
+        (False, 0.5, "a number"),
+        ("0.5", 0.5, "a number"),
+        (float("nan"), 0.5, "a finite number"),
+        (float("inf"), 0.5, "a finite number"),
+        (-float("inf"), 0.5, "a finite number"),
+        (1, "y", "a string"),
+        (None, "y", "a string"),
+    ])
+    def test_rejected_naming_the_field(self, value, default, want):
+        with pytest.raises(ConfigError) as info:
+            check_type("section.field", value, default)
+        assert str(info.value) == f"section.field must be {want}, got {value!r}"

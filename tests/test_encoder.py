@@ -337,6 +337,16 @@ class TestDropout:
         c = enc.encode(x, dropout_rng=np.random.default_rng(2)).data
         np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_rate_in_range_builds(self, dropout):
+        assert BiRnnEncoder(3, np.random.default_rng(0), dropout).dropout == dropout
+
+    @pytest.mark.parametrize("dropout", [1.0, -0.5, float("nan")])
+    def test_rate_out_of_range_rejected(self, dropout):
+        # 1.0 would divide by zero in encode; -0.5 would scale inputs by 2/3.
+        with pytest.raises(ConfigError, match=r"dropout must lie in \[0, 1\)"):
+            BiRnnEncoder(3, np.random.default_rng(0), dropout)
+
 
 def random_encoder(d, rng):
     """An encoder with non-zero biases, so no gate sits at a symmetric point."""

@@ -1,5 +1,6 @@
 """Tests for the scoring architectures against plain-numpy references."""
 
+import inspect
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from relrank import autodiff
 from relrank.autodiff import Tensor, concat, conv2d, load_params, save_params
 from relrank.embeddings import EmbeddingMatrix
 from relrank.errors import ConfigError
-from relrank.models import BASELINE, PairInput, Scorer, build_model, model_names
+from relrank.models import (BASELINE, PairInput, Scorer, build_model,
+                            check_hyperparameters, model_names, scorers)
 from relrank.models.interactions import (
     attended_match_vectors,
     hashed_match_vectors,
@@ -769,6 +771,27 @@ class TestRegistry:
     ])
     def test_hyperparameters_of_the_default_type_accepted(self, name, hyper):
         build_model(name, 3, np.random.default_rng(0), **hyper)
+
+    @pytest.mark.parametrize("name", sorted(scorers._BUILDERS))
+    def test_every_default_passes_the_check(self, name):
+        defaults = {key: p.default for key, p in
+                    inspect.signature(scorers._BUILDERS[name]).parameters.items()
+                    if key not in ("dim", "rng", "emb_matrix")}
+        assert defaults
+        check_hyperparameters(name, defaults)
+
+    @pytest.mark.parametrize("key", ["dim", "rng", "emb_matrix", "extra_features"])
+    def test_build_model_arguments_are_not_hyperparameters(self, key):
+        with pytest.raises(ConfigError,
+                           match=rf"unknown pooled-drmm hyperparameters \['{key}'\]"):
+            check_hyperparameters("pooled-drmm", {key: 1})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected(self, value):
+        with pytest.raises(ConfigError) as info:
+            build_model("pooled-drmm", 3, np.random.default_rng(0), dropout=value)
+        assert str(info.value) == (f"hyperparameters.dropout of pooled-drmm must "
+                                   f"be a finite number, got {value!r}")
 
     def test_baseline_takes_no_hyperparameters(self):
         with pytest.raises(ConfigError, match="no hyperparameters"):

@@ -194,8 +194,6 @@ class TestAdam:
         params = self.params_of([1.0])
         with pytest.raises(ConfigError, match="learning rate"):
             AdamState(params, learning_rate=0.0)
-        with pytest.raises(ConfigError, match="decay"):
-            AdamState(params, beta1=1.0)
 
 
 class TestTrainConfig:
@@ -223,6 +221,14 @@ class TestTrainConfig:
     def test_rejects_values_of_another_type(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             TrainConfig(**kw)
+
+    @pytest.mark.parametrize("key", ["margin", "learning_rate", "clip_norm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_numbers(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(**{key: value})
+        assert str(info.value) == (
+            f"training.{key} must be a finite number, got {value!r}")
 
     def test_integer_learning_rate_is_a_number(self):
         assert TrainConfig(learning_rate=1, margin=2).learning_rate == 1
