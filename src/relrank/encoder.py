@@ -164,8 +164,6 @@ class BiRnnEncoder:
     """Residual bidirectional encoder over per-position embedding vectors."""
 
     def __init__(self, dim: int, rng: np.random.Generator, dropout: float = 0.0):
-        if not 0.0 <= dropout < 1.0:  # NaN fails too
-            raise ConfigError(f"dropout must lie in [0, 1), got {dropout}")
         self.dim = dim
         self.dropout = float(dropout)
         self.forward_cell = LstmCell(dim, rng)

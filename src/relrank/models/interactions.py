@@ -12,7 +12,6 @@ import zlib
 import numpy as np
 
 from ..autodiff import Tensor, l2_normalize_rows, stack
-from ..errors import ConfigError
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,8 +32,6 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def histogram_edges(buckets: int) -> np.ndarray:
     """Equal-width bucket boundaries over [-1, 1]."""
-    if buckets < 1:
-        raise ConfigError(f"bucket count must be >= 1, got {buckets}")
     return np.linspace(-1.0, 1.0, buckets + 1)
 
 
@@ -117,8 +114,6 @@ def max_kmax_pool(scores: Tensor, k: int) -> Tensor:
     picks, since both take the earlier index on ties."""
     if scores.ndim != 2 or scores.shape[1] < 1:
         raise ValueError(f"expected a nonempty (n, m) score matrix, got {scores.shape}")
-    if k < 1:
-        raise ConfigError(f"pool depth must be >= 1, got {k}")
     top = scores.kmax(min(k, scores.shape[1]))
     return stack([top[:, 0], top.mean(axis=1)], axis=1)
 

@@ -138,9 +138,6 @@ class Scorer:
 def _gated_head(model: Scorer, prefix: str, width: int, hidden, dim: int,
                 rng, gate_mode: str) -> Scorer:
     """Score each row with a shared Mlp, then gate over the query terms."""
-    if gate_mode not in GATE_MODES:
-        raise ConfigError(
-            f"unknown gate mode {gate_mode!r}; choose from {GATE_MODES}")
     model.head = model.register(prefix, Mlp(width, hidden, rng))
     gate_width = {"emb+idf": dim + 1, "emb": dim, "idf": 1}[gate_mode]
     model.params.add("gate.w", glorot_uniform(rng, gate_width, 1, gate_width))
@@ -178,15 +175,6 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
     (ties go to the earlier index), and the padding row stands in for every
     query row below it.
     """
-    if not 2 <= max_kernel <= max_query_terms:
-        raise ConfigError(
-            f"kernel sizes must satisfy 2 <= max_kernel <= max_query_terms, "
-            f"got max_kernel={max_kernel}, max_query_terms={max_query_terms}")
-    if not 1 <= k <= max_doc_terms:
-        raise ConfigError(
-            f"k-max depth must satisfy 1 <= k <= max_doc_terms, got {k}")
-    if filters < 1:
-        raise ConfigError(f"need at least one filter, got {filters}")
     convs = [(n, model.params.add(f"conv{n}.w", glorot_uniform(
                   rng, n * n, n * n, (filters, n, n))),
               model.params.add(f"conv{n}.b", np.zeros(filters)))
@@ -299,9 +287,6 @@ def _pooled(views):
     def build(dim: int, rng, k: int = 5, gate_mode: str = "emb+idf",
               dropout: float = 0.0, trainable_embeddings: bool = False,
               emb_matrix=None) -> Scorer:
-        if k < 1:
-            raise ConfigError(f"pool depth must be >= 1, got {k}")
-
         def rows(model, pair, context, dropout_rng):
             feats = []
             for view in views:
@@ -333,10 +318,27 @@ def model_names() -> list[str]:
     return sorted([*_BUILDERS, BASELINE])
 
 
+# The values a hyperparameter may take: a rule maps the model's settings,
+# its builder's defaults filled in, to (holds, what the value must be).
+_RANGES = {
+    "gate_mode": lambda s: (s["gate_mode"] in GATE_MODES, f"one of {GATE_MODES}"),
+    "buckets": lambda s: (s["buckets"] >= 1, ">= 1"),
+    "k": lambda s: ((1 <= s["k"] <= s["max_doc_terms"],
+                     f"in [1, max_doc_terms={s['max_doc_terms']}]")
+                    if "max_doc_terms" in s else (s["k"] >= 1, ">= 1")),
+    "max_kernel": lambda s: (2 <= s["max_kernel"] <= s["max_query_terms"],
+                             f"in [2, max_query_terms={s['max_query_terms']}]"),
+    "filters": lambda s: (s["filters"] >= 1, ">= 1"),
+    "dropout": lambda s: (0 <= s["dropout"] < 1, "in [0, 1)"),
+}
+
+
 def check_hyperparameters(name: str, hyper: dict) -> None:
     """Reject an unknown model, a hyperparameter its builder does not take
-    (``bm25-extra`` takes none), or one whose JSON type is not that of the
-    builder's default; layer sizes (``hidden``) are positive integers."""
+    (``bm25-extra`` takes none), one whose JSON type is not that of the
+    builder's default, or a value outside its range (``_RANGES``); layer
+    sizes (``hidden``) are positive integers.  The builders and the layers
+    below them take these values as given."""
     if name not in model_names():
         raise ConfigError(f"unknown model {name!r}; choose from {model_names()}")
     if name == BASELINE:
@@ -361,6 +363,11 @@ def check_hyperparameters(name: str, hyper: dict) -> None:
                   and all(type(v) is int and v >= 1 for v in value)):
             raise ConfigError(f"{field} must be a list of positive integers"
                               f"{' or null' if default is None else ''}, got {value!r}")
+    settings = dict(defaults, **hyper)
+    for key, rule in _RANGES.items():
+        if key in settings and not (verdict := rule(settings))[0]:
+            raise ConfigError(f"hyperparameters.{key} of {name} must be "
+                              f"{verdict[1]}, got {settings[key]!r}")
 
 
 def build_model(name: str, dim: int, rng, extra_features: bool = False,

@@ -95,8 +95,6 @@ def sample_instances(qrels: Qrels, candidates: dict[str, RankedList],
 
 def pairwise_loss(s_pos: Tensor, s_neg: Tensor, margin: float = 1.0) -> Tensor:
     """Hinge on the score difference; the kink subgradient is the zero branch."""
-    if margin <= 0:
-        raise ConfigError(f"margin must be positive, got {margin}")
     return (s_neg - s_pos + margin).relu()
 
 
@@ -110,8 +108,6 @@ class AdamState:
     """First/second moment accumulators for one parameter set."""
 
     def __init__(self, params: ParameterSet, learning_rate: float = 0.001):
-        if learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}

@@ -448,39 +448,64 @@ class TestErrorReporting:
         assert main(["train", ws.cfg, "--set", override]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {message}")
 
-    # Each once ended in a traceback, a data error about a document's NaN
-    # score, or an exit 0 that saved the untrained parameters.  The last
-    # needs the model built, so it is found after the inputs are read.
+    # Each of the first six once ended in a traceback, a data error about a
+    # document's NaN score, or an exit 0 that saved the untrained
+    # parameters.  The rest are one case per value range rule.
     BAD_VALUES = [
-        ("hyperparameters.extra_features=true",
+        (["hyperparameters.extra_features=true"],
          "unknown pooled-drmm-mv hyperparameters ['extra_features']"),
-        ("hyperparameters.emb_matrix=1",
+        (["hyperparameters.emb_matrix=1"],
          "unknown pooled-drmm-mv hyperparameters ['emb_matrix']"),
-        ("training.learning_rate=NaN",
+        (["training.learning_rate=NaN"],
          "training.learning_rate must be a finite number, got nan"),
-        ("training.margin=Infinity",
+        (["training.margin=Infinity"],
          "training.margin must be a finite number, got inf"),
-        ("hyperparameters.dropout=NaN",
+        (["hyperparameters.dropout=NaN"],
          "hyperparameters.dropout of pooled-drmm-mv must be a finite number, got nan"),
-        ("seed=-1", "seed must be non-negative, got -1"),
-        ("hyperparameters.dropout=1.0", "dropout must lie in [0, 1), got 1.0"),
+        (["seed=-1"], "seed must be non-negative, got -1"),
+        (["hyperparameters.gate_mode=tf"],
+         "hyperparameters.gate_mode of pooled-drmm-mv must be one of "
+         "('emb+idf', 'emb', 'idf'), got 'tf'"),
+        (["model=drmm", "hyperparameters.buckets=0"],
+         "hyperparameters.buckets of drmm must be >= 1, got 0"),
+        (["hyperparameters.k=0"],
+         "hyperparameters.k of pooled-drmm-mv must be >= 1, got 0"),
+        (["model=pacrr", "hyperparameters.k=301"],
+         "hyperparameters.k of pacrr must be in [1, max_doc_terms=300], got 301"),
+        (["model=pacrr", "hyperparameters.max_kernel=1"],
+         "hyperparameters.max_kernel of pacrr must be in "
+         "[2, max_query_terms=30], got 1"),
+        (["model=pacrr", "hyperparameters.max_kernel=5",
+          "hyperparameters.max_query_terms=4"],
+         "hyperparameters.max_kernel of pacrr must be in "
+         "[2, max_query_terms=4], got 5"),
+        (["model=pacrr", "hyperparameters.filters=0"],
+         "hyperparameters.filters of pacrr must be >= 1, got 0"),
+        (["hyperparameters.dropout=1.0"],
+         "hyperparameters.dropout of pooled-drmm-mv must be in [0, 1), got 1.0"),
+        (["hyperparameters.dropout=-0.5"],
+         "hyperparameters.dropout of pooled-drmm-mv must be in [0, 1), got -0.5"),
     ]
 
-    @pytest.mark.parametrize("override,message", BAD_VALUES)
+    @staticmethod
+    def flags(overrides):
+        return [flag for o in overrides for flag in ("--set", o)]
+
+    @pytest.mark.parametrize("overrides,message", BAD_VALUES)
     def test_bad_value_is_one_config_error_and_no_checkpoint(
-            self, ws, capsys, override, message):
+            self, ws, capsys, overrides, message):
         ckpt = ws.root / "work" / "rejected-ckpt"
-        assert main(["train", ws.cfg, "--set", override,
+        assert main(["train", ws.cfg, *self.flags(overrides),
                      "--set", f"checkpoints={ckpt}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error[config]: {message}")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not ckpt.exists()
 
-    @pytest.mark.parametrize("override,message", BAD_VALUES[:-1])
+    @pytest.mark.parametrize("overrides,message", BAD_VALUES)
     def test_bad_value_is_reported_before_any_input_is_read(
-            self, ws, capsys, override, message):
-        assert main(["train", ws.cfg, "--set", override,
+            self, ws, capsys, overrides, message):
+        assert main(["train", ws.cfg, *self.flags(overrides),
                      "--set", "corpus=absent.jsonl"]) == 2
         assert capsys.readouterr().err.startswith(f"error[config]: {message}")
 

@@ -6,6 +6,7 @@ import pytest
 from relrank.autodiff import ParameterSet, Tensor, gather_rows, grad_check, no_grad
 from relrank.encoder import BiRnnEncoder, LstmCell, orthogonal_matrix
 from relrank.errors import ConfigError
+from relrank.models import build_model
 
 
 def sigmoid(z):
@@ -344,8 +345,9 @@ class TestDropout:
     @pytest.mark.parametrize("dropout", [1.0, -0.5, float("nan")])
     def test_rate_out_of_range_rejected(self, dropout):
         # 1.0 would divide by zero in encode; -0.5 would scale inputs by 2/3.
-        with pytest.raises(ConfigError, match=r"dropout must lie in \[0, 1\)"):
-            BiRnnEncoder(3, np.random.default_rng(0), dropout)
+        with pytest.raises(ConfigError,
+                           match="hyperparameters.dropout of attn-drmm must be"):
+            build_model("attn-drmm", 3, np.random.default_rng(0), dropout=dropout)
 
 
 def random_encoder(d, rng):

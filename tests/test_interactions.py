@@ -90,8 +90,8 @@ class TestHistogram:
             assert got.sum() == 20
 
     def test_bad_bucket_count(self):
-        with pytest.raises(ConfigError):
-            histogram_edges(0)
+        with pytest.raises(ConfigError, match="hyperparameters.buckets of drmm"):
+            build_model("drmm", 3, np.random.default_rng(0), buckets=0)
 
 
 class TestTermGate:
@@ -137,7 +137,7 @@ class TestTermGate:
                                       [[0, 1, 2, 0.5], [3, 4, 5, 1.5]])
         np.testing.assert_array_equal(gate_inputs("emb"), emb)
         np.testing.assert_array_equal(gate_inputs("idf"), [[0.5], [1.5]])
-        with pytest.raises(ConfigError, match="gate mode"):
+        with pytest.raises(ConfigError, match="hyperparameters.gate_mode of drmm"):
             build_model("drmm", 3, np.random.default_rng(0), gate_mode="tf")
 
 
@@ -287,8 +287,6 @@ class TestPooling:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             max_kmax_pool(Tensor(np.zeros((1, 0))), 2)
-        with pytest.raises(ConfigError):
-            max_kmax_pool(Tensor(np.ones((1, 3))), 0)
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(14)

@@ -286,15 +286,15 @@ class TestConvRowModels:
 
     def test_config_validation(self):
         rng = np.random.default_rng(17)
-        with pytest.raises(ConfigError, match="max_kernel"):
+        with pytest.raises(ConfigError, match="max_kernel of pacrr"):
             self.fixed(rng, "pacrr", max_kernel=1)
-        with pytest.raises(ConfigError, match="max_kernel"):
+        with pytest.raises(ConfigError, match="max_kernel of pacrr"):
             self.fixed(rng, "pacrr", max_kernel=5, max_query_terms=4)
-        with pytest.raises(ConfigError, match="k-max"):
+        with pytest.raises(ConfigError, match="k of pacrr "):
             self.fixed(rng, "pacrr", k=0)
-        with pytest.raises(ConfigError, match="k-max"):
+        with pytest.raises(ConfigError, match="k of pacrr-drmm "):
             self.fixed(rng, "pacrr-drmm", k=7, max_doc_terms=6)
-        with pytest.raises(ConfigError, match="filter"):
+        with pytest.raises(ConfigError, match="filters of pacrr-drmm"):
             self.fixed(rng, "pacrr-drmm", filters=0)
 
     def test_grad_check_both_variants(self):
@@ -588,7 +588,7 @@ class TestPooledCosineDrmm:
         assert build_model("pooled-drmm-mv", 3, rng).head.sizes == [6, 1]
 
     def test_pool_depth_validation(self):
-        with pytest.raises(ConfigError, match="pool depth"):
+        with pytest.raises(ConfigError, match="hyperparameters.k of pooled-drmm "):
             build_model("pooled-drmm", 3, np.random.default_rng(0), k=0)
 
     def test_grad_check(self):

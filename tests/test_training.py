@@ -133,7 +133,7 @@ class TestPairwiseLoss:
 
     def test_margin_validation(self):
         with pytest.raises(ConfigError, match="margin"):
-            pairwise_loss(Tensor(0.0), Tensor(0.0), 0.0)
+            TrainConfig(margin=0.0)
 
 
 class TestAdam:
@@ -191,9 +191,8 @@ class TestAdam:
         np.testing.assert_array_equal(state.m["p0"], [0.0])
 
     def test_config_validation(self):
-        params = self.params_of([1.0])
         with pytest.raises(ConfigError, match="learning rate"):
-            AdamState(params, learning_rate=0.0)
+            TrainConfig(learning_rate=0.0)
 
 
 class TestTrainConfig:
