@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import load_params, save_params
-from .config import PipelineConfig, load_config, read_split, write_meta
+from .config import (PipelineConfig, load_config, read_split, write_config,
+                     write_meta)
 from .embeddings import EmbeddingMatrix, load_embeddings
 from .errors import ConfigError, DataError, RelrankError
 from .evaluation import (MetricsReport, evaluate_run, stratified_shuffle_test)
@@ -243,6 +245,11 @@ def cmd_rerank(cfg: PipelineConfig, args) -> int:
 def _evaluate_file(run_path, qrels: Qrels, split: list[str] | None) -> MetricsReport:
     lists = read_run(run_path)
     if split is not None:
+        ranked = {rl.query_id for rl in lists}
+        missing = [q for q in split if q not in ranked]
+        if missing:
+            raise DataError(f"{run_path}: eval split names queries the run "
+                            f"leaves out: {missing[:5]}")
         keep = set(split)
         lists = [rl for rl in lists if rl.query_id in keep]
     return evaluate_run(lists, qrels, run_tag=Path(run_path).stem)
@@ -331,16 +338,15 @@ def cmd_xval(cfg: PipelineConfig, args) -> int:
         for name, ids in (("train", train_ids), ("dev", dev), ("test", test)):
             with atomic_open(fold_dir / f"{name}.split") as fh:
                 fh.write("".join(qid + "\n" for qid in ids))
-        data = asdict(cfg)
         # Pin the shared candidates file: the fold's outputs dir moves, and
         # the default <outputs>/bm25.run would point inside the fold.
-        data.update(train_split=str(fold_dir / "train.split"),
-                    dev_split=str(fold_dir / "dev.split"),
-                    eval_split=str(fold_dir / "test.split"),
-                    outputs=str(fold_dir),
-                    checkpoints=str(fold_dir / "checkpoints"),
-                    candidates=cfg.candidates_path)
-        write_json(fold_dir / "config.json", data)
+        fold = replace(cfg, train_split=str(fold_dir / "train.split"),
+                       dev_split=str(fold_dir / "dev.split"),
+                       eval_split=str(fold_dir / "test.split"),
+                       outputs=str(fold_dir),
+                       checkpoints=str(fold_dir / "checkpoints"),
+                       candidates=cfg.candidates_path)
+        write_config(fold_dir / "config.json", fold)
         print(f"fold {i}: {len(train_ids)} train / {len(dev)} dev / "
               f"{len(test)} test -> {fold_dir / 'config.json'}")
     write_meta(root / "xval", cfg.meta(folds=args.folds))
@@ -362,7 +368,7 @@ def cmd_repeat(cfg: PipelineConfig, args) -> int:
         report = evaluate_run(ranked, world.qrels, run_tag=f"{model.name}-seed{seed}")
         per_seed[seed] = {name: report.mean(name)
                           for name in MetricsReport.METRICS}
-        run_paths[seed] = str(out)
+        run_paths[seed] = os.path.relpath(out, cfg.outputs)
         print(f"seed {seed}: best epoch {result.best_epoch}, dev MAP "
               f"{result.best_dev_map:.4f}, test MAP {per_seed[seed]['map']:.4f} "
               f"-> {out}")
@@ -370,7 +376,7 @@ def cmd_repeat(cfg: PipelineConfig, args) -> int:
         "model": model.name,
         "seeds": seeds,
         "per_seed": {str(s): per_seed[s] for s in seeds},
-        "runs": {str(s): run_paths[s] for s in seeds},
+        "runs": {str(s): run_paths[s] for s in seeds},  # from the summary's folder
         "mean": {name: float(np.mean([per_seed[s][name] for s in seeds]))
                  for name in MetricsReport.METRICS},
         "std": {name: float(np.std([per_seed[s][name] for s in seeds]))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+import os
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .embeddings import FORMATS
@@ -24,6 +25,7 @@ __all__ = [
     "load_config",
     "apply_override",
     "read_split",
+    "write_config",
     "write_meta",
 ]
 
@@ -199,6 +201,16 @@ def load_config(path, overrides=()) -> PipelineConfig:
         return PipelineConfig(**data)
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}")
+
+
+def write_config(path, cfg: PipelineConfig) -> None:
+    """Write ``cfg`` as a config file that names each path relative to its
+    own folder, the folder :func:`load_config` resolves paths against, so
+    the file does not depend on where its tree lies."""
+    base = Path(path).parent
+    write_json(path, {name: os.path.relpath(value, base)
+                      if name in _PATH_FIELDS and value is not None else value
+                      for name, value in asdict(cfg).items()})
 
 
 def read_split(path) -> list[str]:

@@ -8,6 +8,8 @@ between entries.  Vectors are held as float64 after loading.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .errors import ConfigError, DataError
@@ -15,6 +17,8 @@ from .files import BinaryReader
 from .text import OOV_ID, Vocabulary
 
 FORMATS = ("text", "binary")
+
+log = logging.getLogger(__name__)
 
 
 class EmbeddingFormatError(DataError):
@@ -150,8 +154,15 @@ def align_embeddings(tokens, matrix, vocabulary: Vocabulary) -> EmbeddingMatrix:
 
 
 def load_embeddings(path, vocabulary: Vocabulary, fmt: str = "text") -> EmbeddingMatrix:
+    """Read and align a word2vec file; a file that gives no vocabulary term
+    a vector is a DataError, since every term would get the same one."""
     tokens, matrix = read_word2vec(path, fmt)
-    return align_embeddings(tokens, matrix, vocabulary)
+    emb = align_embeddings(tokens, matrix, vocabulary)
+    if not emb.covered:
+        raise DataError(f"{path}: no token is a corpus vocabulary term")
+    log.info("%s: %d of %d vocabulary terms have a vector",
+             path, emb.covered, len(vocabulary))
+    return emb
 
 
 # ---------------------------------------------------------------------------

@@ -56,18 +56,12 @@ class InvertedIndex:
 def build_index(documents, vocabulary: Vocabulary, idf: IdfTable,
                 stemmer: str = "", stopword_hash: str = "",
                 corpus_digest: str = "") -> InvertedIndex:
-    """Build an index over processed documents.
-
-    Raises DataError on duplicate doc ids and ConfigError on an empty corpus.
+    """Build an index over processed documents, whose ids the corpus reader
+    has made unique.  Raises ConfigError on an empty corpus.
     """
     documents = list(documents)
     if not documents:
         raise ConfigError("cannot index an empty corpus")
-    seen = set()
-    for doc in documents:
-        if doc.doc_id in seen:
-            raise DataError(f"duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
     documents.sort(key=lambda d: d.doc_id)
 
     term_lists: dict[int, list[tuple[int, int]]] = {}

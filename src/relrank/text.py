@@ -327,6 +327,14 @@ def _json_objects(path):
         yield line_no, obj
 
 
+def _new_id(value: str, seen: set, kind: str, path, line_no: int) -> str:
+    """``value``, added to ``seen``; a DataError if it is already there."""
+    if value in seen:
+        raise DataError(f"{path}:{line_no}: duplicate {kind} id {value!r}")
+    seen.add(value)
+    return value
+
+
 def _doc_text(obj: dict, line_no: int, path) -> str:
     if "text" in obj:
         parts = [obj["text"]]
@@ -345,12 +353,14 @@ def iter_corpus(path):
     Each line is an object with ``id`` plus either a string ``text`` or
     ``title``/``abstract`` strings (document text is their concatenation;
     null counts as absent), and an optional ``date`` used for per-query
-    cutoff filtering.
+    cutoff filtering.  A repeated id is a DataError.
     """
+    seen = set()
     for line_no, obj in _json_objects(path):
         if "id" not in obj:
             raise DataError(f"{path}:{line_no}: document missing 'id'")
-        yield str(obj["id"]), _doc_text(obj, line_no, path), obj.get("date")
+        doc_id = _new_id(str(obj["id"]), seen, "document", path, line_no)
+        yield doc_id, _doc_text(obj, line_no, path), obj.get("date")
 
 
 class CorpusBuild:
@@ -387,14 +397,17 @@ def process_corpus(path, pipeline: TextPipeline) -> CorpusBuild:
 
 
 def iter_queries(path, cutoff_field: str | None = None):
-    """Yield (query_id, text, cutoff) from a JSON-lines query file."""
+    """Yield (query_id, text, cutoff) from a JSON-lines query file; a
+    repeated id is a DataError."""
+    seen = set()
     for line_no, obj in _json_objects(path):
         if "id" not in obj or "text" not in obj:
             raise DataError(f"{path}:{line_no}: query needs 'id' and 'text'")
         if not isinstance(obj["text"], str):
             raise DataError(f"{path}:{line_no}: query 'text' must be a string")
         cutoff = obj.get(cutoff_field) if cutoff_field else None
-        yield str(obj["id"]), obj["text"], cutoff
+        qid = _new_id(str(obj["id"]), seen, "query", path, line_no)
+        yield qid, obj["text"], cutoff
 
 
 def process_queries(path, pipeline: TextPipeline, vocab: Vocabulary,

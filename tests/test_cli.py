@@ -134,6 +134,24 @@ class TestRetrieveCommand:
         assert err.startswith("error[data]: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,field,kind,output", [
+        ("index", "corpus", "document", "index"),
+        ("retrieve", "queries", "query", "candidates"),
+    ])
+    def test_repeated_id_is_data_error_naming_its_line(
+            self, ws, tmp_path, capsys, command, field, kind, output):
+        lines = (ws.root / f"{field}.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])["id"]
+        lines[2] = json.dumps(dict(json.loads(lines[2]), id=first))
+        repeated = tmp_path / f"{field}.jsonl"
+        repeated.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "artifact"
+        assert main([command, ws.cfg, "--set", f"{field}={repeated}",
+                     "--set", f"{output}={out}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {repeated}:3: duplicate {kind} id {first!r}\n")
+        assert not out.exists()
+
     def test_candidate_count_override(self, ws):
         assert main(["retrieve", ws.cfg, "--set", "candidates=pool3.run",
                      "--set", "n_candidates=3"]) == 0
@@ -181,6 +199,19 @@ class TestTrainCommand:
             main(["train", ws.cfg])
         assert len(evals) == 2
         assert log_path.read_bytes() == before
+
+    def test_embeddings_sharing_no_vocabulary_term_are_data_error(
+            self, ws, tmp_path, capsys):
+        header, *lines = (ws.root / "embeddings.txt").read_text().splitlines()
+        emb = tmp_path / "prefixed.txt"
+        emb.write_text("".join(f"{line}\n" for line in
+                               [header] + ["X" + line for line in lines]))
+        ckpt = tmp_path / "ckpt"
+        assert main(["train", ws.cfg, "--set", f"embeddings={emb}",
+                     "--set", f"checkpoints={ckpt}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {emb}: no token is a corpus vocabulary term\n")
+        assert not ckpt.exists()
 
     def test_missing_split_is_config_error(self, ws, capsys):
         assert main(["train", ws.cfg, "--set", "train_split=null"]) == 2
@@ -286,6 +317,22 @@ class TestEvalCommand:
         assert 0.0 < sig["p_value"] <= 1.0
         assert payload["baseline"]["run"] == "bm25"
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_run_without_a_split_query_is_data_error(self, ws, tmp_path,
+                                                     capsys, position):
+        kept = ws.qids[16]  # the first of the 4 test-split queries
+        short = tmp_path / "short.run"
+        write_run(short, [rl for rl in read_run(ws.out / "bm25.run")
+                          if rl.query_id == kept], tag="bm25")
+        runs = [str(ws.out / "bm25.run")] * 2
+        runs[position] = str(short)
+        assert main(["eval", ws.cfg, *runs,
+                     "--set", f"outputs={tmp_path}"]) == 3
+        assert capsys.readouterr().err == (
+            f"error[data]: {short}: eval split names queries the run leaves "
+            f"out: {ws.qids[17:20]}\n")
+        assert not list(tmp_path.glob("*.metrics.json"))
+
     def test_missing_run_file(self, ws, capsys):
         assert main(["eval", ws.cfg, str(ws.out / "nope.run")]) == 2
         assert "error[config]" in capsys.readouterr().err
@@ -352,7 +399,12 @@ class TestXvalCommand:
             test = set(Path(cfg.eval_split).read_text().split())
             assert not (train & dev) and not (train & test) and not (dev & test)
             assert train | dev | test == set(ws.qids)
-            assert cfg.candidates_path == str(ws.out / "bm25.run")
+            # load_config joins without normalizing: fold<i>/../../bm25.run
+            assert (Path(cfg.candidates_path).resolve()
+                    == (ws.out / "bm25.run").resolve())
+            raw = json.loads((fold / "config.json").read_text())
+            assert not [v for v in raw.values()
+                        if isinstance(v, str) and Path(v).is_absolute()]
             seen.extend(sorted(test))
         assert sorted(seen) == ws.qids  # each query tests exactly once
         assert (root / "xval.meta.json").exists()
@@ -393,15 +445,17 @@ class TestRepeatCommand:
                      "--set", "candidates=work/out/bm25.run"]) == 0
         out = capsys.readouterr().out
         assert "mean" in out and "std" in out
+        folder = ws.root / "work" / "repeat"
         summary = json.loads(
-            (ws.root / "work" / "repeat" /
-             "repeat-bm25-extra.summary.json").read_text())
+            (folder / "repeat-bm25-extra.summary.json").read_text())
         assert summary["seeds"] == [0, 1]
         assert set(summary["per_seed"]) == {"0", "1"}
         for block in (summary["mean"], summary["std"]):
             assert set(block) == {"map", "p20", "ndcg20"}
+        assert summary["runs"] == {s: f"bm25-extra-seed{s}.run"
+                                   for s in ("0", "1")}
         for seed in ("0", "1"):
-            assert Path(summary["runs"][seed]).exists()
+            assert (folder / summary["runs"][seed]).exists()
 
     def test_missing_eval_split_is_reported_as_eval_reports_it(self, ws, capsys):
         missing = ["--set", "eval_split=missing.split"]
@@ -524,9 +578,14 @@ class TestAnyDirectory:
             top = read_run(run)[0]
             run_cli("inspect", cfg, top.query_id, top.entries[0].doc_id,
                     "--output", str(out / "dump.json"))
+            run_cli("xval", cfg)
+            run_cli("repeat", cfg, "--seeds", "2")
             manifests.append(manifest(root))
-        assert len(manifests[0]) == 22
-        assert sum(p.endswith(".meta.json") for p in manifests[0]) == 7
+        # 22 files from the single run, 21 from xval's 5 folds, 8 from the
+        # second seed and the summary.
+        assert len(manifests[0]) == 51
+        assert sum(p.endswith(".meta.json") for p in manifests[0]) == 12
+        assert manifests[0] == manifests[1]
         assert manifests[0] == manifests[1]
 
 

@@ -1,5 +1,7 @@
 """Tests for word2vec IO, vocabulary alignment, and exact-match keys."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from relrank.embeddings import (
     write_word2vec_binary,
     write_word2vec_text,
 )
-from relrank.errors import ConfigError
+from relrank.errors import ConfigError, DataError
 from relrank.models.interactions import equality_matrix, hashed_match_vectors
 from relrank.text import OOV_ID, ProcessedDocument, ProcessedQuery, Vocabulary
 
@@ -132,6 +134,20 @@ class TestAlignment:
                                       [[1, 2], [3, 4], [2, 3]])
         assert emb.covered == 2
         assert emb.rows.shape == (4, 2)
+
+    def test_coverage_is_logged(self, tmp_path, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nalpha 1 2\nbeta 3 4\n")
+        with caplog.at_level(logging.INFO, logger="relrank.embeddings"):
+            load_embeddings(path, Vocabulary(["alpha", "gamma", "beta"]))
+        assert f"{path}: 2 of 3 vocabulary terms have a vector" in caplog.text
+
+    def test_no_vocabulary_term_covered_is_data_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nXalpha 1 2\nXbeta 3 4\n")
+        with pytest.raises(DataError) as info:
+            load_embeddings(path, Vocabulary(["alpha", "beta"]))
+        assert str(info.value) == f"{path}: no token is a corpus vocabulary term"
 
     def test_oov_sentinel_resolves_to_shared_row(self):
         emb = align_embeddings(["a"], np.array([[1.0, 1.0]]), Vocabulary(["a"]))

@@ -62,11 +62,6 @@ class TestBuild:
         index = build_index(docs, vocab, idf)
         assert index.avg_doc_length == 3.0
 
-    def test_duplicate_doc_id_named_in_error(self):
-        docs, vocab, idf = corpus_from_token_docs({"d1": ["a"]})
-        with pytest.raises(DataError, match="d1"):
-            build_index(docs + docs, vocab, idf)
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigError):
             build_index([], Vocabulary(), compute_idf(

@@ -2,13 +2,16 @@
 ``src/relrank``, and every method other than dunders, is referred to from
 ``src/relrank`` itself, unless it is a named oracle or entry point below.
 
-A function or class counts as referred to when its name appears as an
-``ast.Name`` or ``ast.Attribute`` anywhere in src; a method only when it
-appears as an ``ast.Attribute`` (``obj.method``), so a local variable that
-happens to share a method's name does not keep the method alive.  A
-reference made from inside an oracle's definition does not count: what
-only an oracle uses belongs in the oracle.  An entry point's references
-count, because code outside src runs it.
+A function or class counts as referred to when a name resolves to it through
+src's own imports: its bare name in its own module, a name bound by
+``from .m import f`` (followed through package re-exports such as
+``models/__init__.py``), or ``m.f`` where ``m`` names a src module.  A method
+is matched by name only: it counts when its name appears as an
+``ast.Attribute`` (``obj.method``) anywhere in src, so a local variable that
+happens to share a method's name does not keep the method alive, but any
+``obj.method`` does.  A reference made from inside an oracle's definition
+does not count: what only an oracle uses belongs in the oracle.  An entry
+point's references count, because code outside src runs it.
 """
 
 import ast
@@ -50,38 +53,86 @@ def _outside_oracles(node, qualname):
         yield from _outside_oracles(child, name)
 
 
-def _scan():
-    """(qualified name, is_method) per definition, plus the names and
-    attributes src refers to outside the oracles."""
-    defs, names, attrs = [], set(), set()
+def _parse():
+    """Module name (``models.scorers``; a package by its own name) -> tree."""
+    trees = {}
     for path in sorted(SRC.rglob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        module = path.relative_to(SRC).with_suffix("").as_posix().replace("/", ".")
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        trees[".".join(parts)] = (ast.parse(path.read_text(encoding="utf-8")),
+                                  path.name == "__init__.py")
+    return trees
+
+
+def _bindings(trees):
+    """Per module, each name it imports from src: ("module", m) for a
+    module, ("symbol", (m, name)) for a name another module binds."""
+    bound = {}
+    for module, (tree, is_package) in trees.items():
+        package = module if is_package else module.rpartition(".")[0]
+        names = bound[module] = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            base = package.split(".") if package else []
+            base = base[:len(base) - (node.level - 1)]
+            source = ".".join(base + ([node.module] if node.module else []))
+            for alias in node.names:
+                sub = f"{source}.{alias.name}".lstrip(".")
+                names[alias.asname or alias.name] = (
+                    ("module", sub) if sub in trees else
+                    ("symbol", (source, alias.name)))
+    return bound
+
+
+def _scan():
+    """(qualified name, is_method) per definition, plus the definitions
+    src's names resolve to and the attribute names src uses, both outside
+    the oracles."""
+    trees = _parse()
+    bound = _bindings(trees)
+    defs, top = [], set()
+    for module, (tree, _) in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             defs.append((f"{module}.{node.name}", False))
+            top.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
                 defs.extend((f"{module}.{node.name}.{m.name}", True)
                             for m in node.body
                             if isinstance(m, ast.FunctionDef)
                             and not (m.name.startswith("__") and m.name.endswith("__")))
+
+    def resolve(module, name):
+        """The definition ``name`` denotes in ``module``, or None."""
+        while f"{module}.{name}" not in top:  # each step, one re-export
+            kind, target = bound.get(module, {}).get(name, (None, None))
+            if kind != "symbol":
+                return None
+            module, name = target
+        return f"{module}.{name}"
+
+    referenced, attrs = set(), set()
+    for module, (tree, _) in trees.items():
         for n in _outside_oracles(tree, module):
             if isinstance(n, ast.Name):
-                names.add(n.id)
+                referenced.add(resolve(module, n.id))
             elif isinstance(n, ast.Attribute):
                 attrs.add(n.attr)
-    return defs, names, attrs
+                if isinstance(n.value, ast.Name):
+                    kind, target = bound[module].get(n.value.id, (None, None))
+                    if kind == "module":
+                        referenced.add(resolve(target, n.attr))
+    return defs, referenced, attrs
 
 
 def _unreferenced():
-    defs, names, attrs = _scan()
-    out = []
-    for qualname, is_method in defs:
-        leaf = qualname.rsplit(".", 1)[1]
-        if leaf not in attrs and (is_method or leaf not in names):
-            out.append(qualname)
-    return out
+    defs, referenced, attrs = _scan()
+    return [qualname for qualname, is_method in defs
+            if (qualname.rsplit(".", 1)[1] not in attrs if is_method
+                else qualname not in referenced)]
 
 
 def test_every_src_name_has_a_src_reference():

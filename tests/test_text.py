@@ -228,6 +228,15 @@ class TestCorpusIngestion:
         with pytest.raises(DataError, match=":2"):
             process_corpus(path, TextPipeline())
 
+    def test_duplicate_doc_id_named_in_error(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        self._write(path, [{"id": "d1", "text": "aspirin"},
+                           {"id": "d2", "text": "trial"},
+                           {"id": "d1", "text": "scan"}])
+        with pytest.raises(DataError) as info:
+            process_corpus(path, TextPipeline())
+        assert str(info.value) == f"{path}:3: duplicate document id 'd1'"
+
     def test_missing_id_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write(path, [{"text": "no id here"}])
@@ -295,6 +304,14 @@ class TestQueryIngestion:
         queries = process_queries(qpath, TextPipeline(), Vocabulary(["scan"]),
                                   cutoff_field="asof")
         assert queries[0].date_cutoff == "2010-06"
+
+    def test_duplicate_query_id_named_in_error(self, tmp_path):
+        qpath = tmp_path / "queries.jsonl"
+        qpath.write_text(json.dumps({"id": "q1", "text": "aspirin"}) + "\n\n"
+                         + json.dumps({"id": "q1", "text": "scan"}) + "\n")
+        with pytest.raises(DataError) as info:
+            process_queries(qpath, TextPipeline(), Vocabulary(["aspirin"]))
+        assert str(info.value) == f"{qpath}:3: duplicate query id 'q1'"
 
     def test_malformed_query_rejected(self, tmp_path):
         qpath = tmp_path / "queries.jsonl"
