@@ -365,9 +365,11 @@ def check_hyperparameters(name: str, hyper: dict) -> None:
                               f"{' or null' if default is None else ''}, got {value!r}")
     settings = dict(defaults, **hyper)
     for key, rule in _RANGES.items():
-        if key in settings and not (verdict := rule(settings))[0]:
-            raise ConfigError(f"hyperparameters.{key} of {name} must be "
-                              f"{verdict[1]}, got {settings[key]!r}")
+        if key in settings:
+            holds, want = rule(settings)
+            if not holds:
+                raise ConfigError(f"hyperparameters.{key} of {name} must be "
+                                  f"{want}, got {settings[key]!r}")
 
 
 def build_model(name: str, dim: int, rng, extra_features: bool = False,
