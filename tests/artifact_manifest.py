@@ -4,11 +4,12 @@
 
 generates the workspace of acceptance 7 (``make_workspace`` in support.py)
 in DIR, runs ``index`` and ``retrieve``, then ``train`` and ``rerank`` for
-19 models: the 8 with the extra features, the 7 neural ones without them,
-and the 4 encoder models with trainable embeddings.  Those last share the
-``+extra`` names, so they write under ``work/trainable``.  It prints
-``sha256  path`` for each of the 118 files under ``DIR/work``, sorted by
-path.  relrank comes from PYTHONPATH, so one recipe builds any tree's
+20 models: the 8 with the extra features, the 7 neural ones without them,
+the 4 encoder models with trainable embeddings, and pooled-drmm-mv with
+input dropout, the one run that draws dropout masks.  The last five share
+the ``+extra`` names, so they write under ``work/trainable`` and
+``work/dropout``.  It prints ``sha256  path`` for each of the 124 files
+under ``DIR/work``, sorted by path.  relrank comes from PYTHONPATH, so one recipe builds any tree's
 artifacts, and comparing two trees, or one tree in two directories, is one
 ``diff`` of two manifests.
 
@@ -37,6 +38,9 @@ RUNS = (
     *((f"model={m}", "hyperparameters.trainable_embeddings=true",
        "checkpoints=work/trainable/ckpt", "outputs=work/trainable/out",
        "candidates=work/out/bm25.run") for m in ENCODER),
+    ("model=pooled-drmm-mv", "hyperparameters.dropout=0.2",
+     "checkpoints=work/dropout/ckpt", "outputs=work/dropout/out",
+     "candidates=work/out/bm25.run"),
 )
 
 
