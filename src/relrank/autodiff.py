@@ -45,6 +45,7 @@ __all__ = [
     "GradCheckError",
     "CheckpointError",
     "no_grad",
+    "grad_enabled",
     "concat",
     "stack",
     "dot",
@@ -71,6 +72,11 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def grad_enabled() -> bool:
+    """Whether tensors made now record their parents (not inside ``no_grad``)."""
+    return _grad_enabled
 
 
 class Scatter:

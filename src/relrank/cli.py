@@ -479,6 +479,10 @@ def main(argv=None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr)
     try:
+        for flag in ("permutations", "budget"):  # before any file is read
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1, got {value}")
         cfg = load_config(args.config, args.overrides)
         return _HANDLERS[args.command](cfg, args)
     except RelrankError as exc:

@@ -10,22 +10,23 @@ sequences, one :meth:`LstmCell.step` per time step for the whole block
 (Appleyard et al., arXiv:1604.01946: batch across sequences, fuse the gate
 math, hoist the input projection).  Its recurrent product is an einsum,
 whose bits for a row do not depend on the block around it, so a sequence
-gets the same bits alone and inside any block.  Two callers share it:
+gets the same bits alone and inside any block.
 
-* :meth:`BiRnnEncoder.encode` (training, and any pair scored alone) runs
-  one sequence as the block of one.  Each direction is one autodiff node,
-  whatever the length; it keeps every step's gates and cell state and
-  differentiates by backpropagation through time written out by hand.
-* :meth:`BiRnnEncoder.encode_batch` (reranking, frozen parameters) runs
-  many sequences in one pass per direction, sorted by length so each step
-  advances only the live ones, and keeps no gates.
+There is one encoder path, :meth:`BiRnnEncoder.encode_batch`: training
+encodes a minibatch's distinct sequences with it, and reranking a
+candidate list's.  It sorts the block by length so each step advances
+only the live sequences.  Each direction is one autodiff node
+(:meth:`LstmCell.sweep`) whatever the lengths; it keeps every step's gates
+and cell state and differentiates by backpropagation through time written
+out by hand, once over the block.  Under ``no_grad`` it keeps no gates.
+:meth:`BiRnnEncoder.encode`, for a pair scored alone, is its batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat
+from .autodiff import Tensor, concat, grad_enabled
 from .errors import ConfigError
 
 
@@ -35,13 +36,11 @@ def orthogonal_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _previous(states: np.ndarray, reverse: bool) -> np.ndarray:
-    """Row ``t`` holds the state before position ``t`` was visited (zeros first)."""
+def _previous(states: np.ndarray) -> np.ndarray:
+    """Step ``t`` of a time-major block holds the state before step ``t``
+    (zeros first)."""
     prev = np.zeros_like(states)
-    if reverse:
-        prev[:-1] = states[1:]
-    else:
-        prev[1:] = states[:-1]
+    prev[1:] = states[:-1]
     return prev
 
 
@@ -53,11 +52,10 @@ class LstmCell:
     bias block starts at 1.0, everything else at 0.
 
     :meth:`scan` runs the recurrence over a block of sequences, one
-    :meth:`step` per time step.  :meth:`run` is its batch of one as a
-    single autodiff node with parents ``x @ w_in``, ``w_rec`` and ``bias``:
-    it saves the gates, the cell state and its tanh at every position, and
-    its backward rule reads them back to run BPTT and returns the
-    gradients of those three parents.
+    :meth:`step` per time step.  :meth:`sweep` wraps it as a single
+    autodiff node over sequences packed end to end: with gradients on it
+    saves the gates, the cell state and its tanh at every step, and its
+    backward rule reads them back to run BPTT over the whole block.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
@@ -119,45 +117,78 @@ class LstmCell:
                 saved[0][t, :n], saved[1][t, :n], saved[2][t, :n] = gates, c, tanh_c
         return hidden
 
-    def run(self, x: Tensor, reverse: bool = False) -> Tensor:
-        """Hidden states of an (n, dim) sequence as one (n, dim) tensor.
+    def sweep(self, x: Tensor, lengths: np.ndarray, reverse: bool = False) -> Tensor:
+        """Hidden states of sequences packed end to end in ``x`` (N, dim),
+        sequence b on ``lengths[b]`` consecutive rows, as an (N, dim) tensor
+        in the same layout.
 
-        Row ``t`` is the hidden state right after the cell visited position
-        ``t``; ``reverse`` visits the positions from last to first.
+        Row ``t`` of a sequence is the hidden state right after the cell
+        visited its position ``t``; ``reverse`` visits each sequence from
+        last to first.  Each sequence gets its own ``x @ w_in``, the gemm of
+        running it alone, and the block's columns are sorted by length,
+        longest first, for one :meth:`scan`.  With gradients on, the result
+        is one autodiff node with parents ``x``, ``w_in``, ``w_rec`` and
+        ``bias``; its rule runs BPTT over the block's steps from last to
+        first, one numpy pass per step for all live columns.  Under
+        ``no_grad`` no gates are kept.
         """
-        zx = x @ self.w_in
-        n, d = x.shape[0], self.dim
+        d = self.dim
+        order = np.argsort(-lengths, kind="stable")
+        starts = np.cumsum(lengths) - lengths
+        spans = [slice(starts[b], starts[b] + lengths[b]) for b in order]
+        sorted_lengths = lengths[order]
+        steps, width = int(sorted_lengths[0]), len(spans)
         visit = slice(None, None, -1) if reverse else slice(None)
-        saved = (np.empty((n, 1, 4 * d)), np.empty((n, 1, d)), np.empty((n, 1, d)))
-        hidden = self.scan(zx.data[visit, None], np.array([n]), saved)
-        # Back to position order.
-        gates, cells, tanh_cells, hidden = (np.ascontiguousarray(a[visit, 0])
-                                            for a in (*saved, hidden))
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        w_rec_t = self.w_rec.data.T
 
-        def rule(dhidden):
-            i, f, o, g = (gates[:, k * d:(k + 1) * d] for k in range(4))
+        def to_packed(block, out):
+            for col, rows in enumerate(spans):
+                out[rows] = block[:rows.stop - rows.start, col][visit]
+            return out
+
+        zx = np.zeros((steps, width, 4 * d))
+        for col, rows in enumerate(spans):
+            zx[:rows.stop - rows.start, col] = (x.data[rows] @ self.w_in.data)[visit]
+        saved = None
+        if grad_enabled():
+            saved = tuple(np.zeros((steps, width, k * d)) for k in (4, 1, 1))
+        hidden = self.scan(zx, sorted_lengths, saved)
+        del zx
+        out = to_packed(hidden, np.empty((len(x.data), d)))
+        if saved is None:
+            return Tensor(out)
+        gates, cells, tanh_cells = saved
+        live = np.count_nonzero(sorted_lengths > np.arange(steps)[:, None], axis=1)
+        xs, w_in, w_rec = x.data, self.w_in.data, self.w_rec.data
+
+        def rule(dout):
+            i, f, o, g = (gates[..., k * d:(k + 1) * d] for k in range(4))
             # d(z_t) = [dc, dc, dh, dc] * dz_factor[t], block by block.
             dz_factor = np.concatenate([g * i * (1.0 - i),
-                                        _previous(cells, reverse) * f * (1.0 - f),
+                                        _previous(cells) * f * (1.0 - f),
                                         tanh_cells * o * (1.0 - o),
-                                        i * (1.0 - g * g)], axis=1)
+                                        i * (1.0 - g * g)], axis=2)
             dc_dh = o * (1.0 - tanh_cells * tanh_cells)
-            dz = np.empty((n, 4 * d))
-            dcdh = np.empty((4, d))  # rows [dc, dc, dh, dc]
-            dh_rec = np.zeros(d)
-            dc = np.zeros(d)
-            for pos in reversed(order):
-                dh = dhidden[pos] + dh_rec
-                dc = dc + dh * dc_dh[pos]
-                dcdh[:] = dc
-                dcdh[2] = dh
-                dz_t = dz[pos] = dcdh.reshape(-1) * dz_factor[pos]
-                dc = dc * f[pos]
-                dh_rec = w_rec_t @ dz_t
-            return dz, dz.T @ _previous(hidden, reverse), dz.sum(axis=0)
-        return Tensor(hidden, (zx, self.w_rec, self.bias), "lstm", rule)
+            dhidden = np.zeros((steps, width, d))
+            for col, rows in enumerate(spans):
+                dhidden[:rows.stop - rows.start, col] = dout[rows][visit]
+            dz = np.zeros((steps, width, 4 * d))
+            dh_rec = np.zeros((width, d))
+            dc = np.zeros((width, d))
+            # Live columns are a prefix, so a column's state gradients stay
+            # zero until the step that visited its last token.
+            for t in range(steps - 1, -1, -1):
+                n = live[t]
+                dh = dhidden[t, :n] + dh_rec[:n]
+                dc_t = dc[:n] + dh * dc_dh[t, :n]
+                dz_t = dz[t, :n] = (np.concatenate([dc_t, dc_t, dh, dc_t], axis=1)
+                                    * dz_factor[t, :n])
+                dc[:n] = dc_t * f[t, :n]
+                dh_rec[:n] = dz_t @ w_rec
+            dzx = to_packed(dz, np.empty((len(xs), 4 * d)))
+            flat = dz.reshape(-1, 4 * d)
+            return (dzx @ w_in.T, xs.T @ dzx,
+                    flat.T @ _previous(hidden).reshape(-1, d), flat.sum(axis=0))
+        return Tensor(out, (x, self.w_in, self.w_rec, self.bias), "lstm", rule)
 
 
 class BiRnnEncoder:
@@ -179,43 +210,33 @@ class BiRnnEncoder:
                 f"encoder expects (n, {self.dim}) inputs, got {x.shape}")
 
     def encode(self, x: Tensor, dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Encode an (n, dim) sequence into (n, 2*dim) context vectors.
+        """Encode an (n, dim) sequence into (n, 2*dim) context vectors: the
+        batch of one of :meth:`encode_batch`."""
+        return self.encode_batch([x], dropout_rng)[0]
 
-        ``dropout_rng`` enables input dropout (training only); inverted
-        scaling keeps the expected activation unchanged.
-        """
-        self._check(x)
-        if self.dropout > 0.0 and dropout_rng is not None:
-            keep = (dropout_rng.random(x.shape) >= self.dropout) / (1.0 - self.dropout)
-            x = x * keep
-        fwd = self.forward_cell.run(x)
-        bwd = self.backward_cell.run(x, reverse=True)
-        return concat([fwd + x, bwd + x], axis=1)
+    def encode_batch(self, xs: list[Tensor],
+                     dropout_rng: np.random.Generator | None = None) -> list[Tensor]:
+        """Encode many (n_i, dim) sequences into (n_i, 2*dim) context
+        vectors in one padded pass per direction.
 
-    def encode_batch(self, xs: list[np.ndarray]) -> list[np.ndarray]:
-        """Encode many (n_i, dim) sequences in one padded pass, frozen: no
-        graph, no dropout, and no gates kept.
-
-        Item i equals ``encode(Tensor(xs[i])).data`` bit for bit.  Each
-        sequence gets its own ``x @ w_in``, the gemm of encoding it alone;
-        the columns of the padded block are sorted by length, longest first,
-        and each direction is one :meth:`LstmCell.scan`, which steps only
-        the live columns.  The reverse direction holds each sequence
-        reversed, so it starts at the sequence's own last token.
+        ``dropout_rng`` enables input dropout (training only): each sequence
+        draws its own mask, in list order, and inverted scaling keeps the
+        expected activation unchanged.  The sequences are packed end to
+        end, each direction is one :meth:`LstmCell.sweep`, and item i is
+        the rows of sequence i, with the bits of encoding it alone.  A
+        gradient into any item flows through the block's two sweeps.
         """
         for x in xs:
             self._check(x)
-        lengths = np.array([len(x) for x in xs], dtype=np.int64)
-        order = np.argsort(-lengths, kind="stable")
-        steps = int(lengths.max(initial=0))
-        halves = [[] for _ in xs]
-        for cell, visit in ((self.forward_cell, slice(None)),
-                            (self.backward_cell, slice(None, None, -1))):
-            zx = np.zeros((steps, len(xs), 4 * self.dim))
-            for col, i in enumerate(order):
-                zx[:lengths[i], col] = (xs[i] @ cell.w_in.data)[visit]
-            hidden = cell.scan(zx, lengths[order])
-            del zx
-            for col, i in enumerate(order):
-                halves[i].append(hidden[:lengths[i], col][visit] + xs[i])
-        return [np.concatenate(pair, axis=1) for pair in halves]
+        if not xs:
+            return []
+        if self.dropout > 0.0 and dropout_rng is not None:
+            xs = [x * ((dropout_rng.random(x.shape) >= self.dropout)
+                       / (1.0 - self.dropout)) for x in xs]
+        lengths = np.array([x.shape[0] for x in xs], dtype=np.int64)
+        x = concat(xs)
+        out = concat([self.forward_cell.sweep(x, lengths) + x,
+                      self.backward_cell.sweep(x, lengths, reverse=True) + x],
+                     axis=1)
+        ends = np.cumsum(lengths)
+        return [out[end - n:end] for end, n in zip(ends, lengths)]

@@ -12,12 +12,13 @@ linearly with the four extra features; ``bm25-extra`` is the mix alone.
 
 ``score`` returns a scalar autodiff tensor so the training loop can
 backpropagate through it.  Its ``context`` argument, the pair's query and
-document encodings computed beforehand with parameters frozen (reranking
-encodes a whole candidate list in one pass), stands in for running the
-encoder; it is None when a pair is scored alone and for models without
-an encoder.  Each model holds its
-parameters in one ParameterSet, registered in the order rows, head,
-aggregation, ``combine.*``; that order is the checkpoint layout.
+document encodings, stands in for running the encoder; it is None when a
+pair is scored alone and for models without an encoder.
+:meth:`Scorer.contexts` computes the contexts of many pairs in one
+encoder pass: training calls it once per minibatch, with gradients and
+dropout, and reranking once per candidate list, frozen.  Each model
+holds its parameters in one ParameterSet, registered in the order rows,
+head, aggregation, ``combine.*``; that order is the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ GATE_MODES = ("emb+idf", "emb", "idf")
 class Scorer:
     """rows -> head -> aggregation, optionally mixed with the extra features.
 
-    ``rows_stage(model, pair, context, dropout_rng)`` returns the rows;
+    ``rows_stage(model, pair, context)`` returns the rows;
     it is None only for the baseline.  The builders below assemble one
     scorer per registry name.
     """
@@ -78,26 +79,55 @@ class Scorer:
     def _vectors(self, frozen: np.ndarray, rows: np.ndarray) -> Tensor:
         return Tensor(frozen) if self.emb is None else gather_rows(self.emb, rows)
 
-    def view(self, name: str, pair: PairInput, context=None, dropout_rng=None):
+    def view(self, name: str, pair: PairInput, context=None):
         """One view of the pair as (query side, document side): ``context``
         encodings, raw ``embedding`` vectors, or ``exact``-match keys.
 
-        ``context``, the (query, document) encodings as arrays, stands in
+        ``context``, the (query, document) encodings as tensors, stands in
         for running the encoder."""
         if name == "exact":
             return pair.q_keys, pair.d_keys
         if name == "context" and context is not None:
-            return Tensor(context[0]), Tensor(context[1])
+            return context
         q = self._vectors(pair.q_emb, pair.q_rows)
         d = self._vectors(pair.d_emb, pair.d_rows)
         if name == "embedding":
             return q, d
-        return self.encoder.encode(q, dropout_rng), self.encoder.encode(d, dropout_rng)
+        return self.encoder.encode(q), self.encoder.encode(d)
 
-    def rows(self, pair: PairInput, context=None, dropout_rng=None) -> Tensor:
+    def contexts(self, pairs: list[PairInput], dropout_rng=None,
+                 encoded: dict | None = None) -> list:
+        """Each pair's (query, document) context encodings, from one
+        ``encode_batch``; None per pair for a model without the encoder.
+
+        Without dropout each distinct sequence is encoded once, keyed by
+        (side, id); ``encoded`` keeps the encodings by that key across
+        calls and is filled in.  A sequence that several pairs read is one
+        tensor, so its gradient sums over them.  With dropout (a
+        ``dropout_rng`` and a positive rate) every use is its own sequence
+        with its own mask, drawn per pair in the order query, document.
+        """
+        if self.encoder is None:
+            return [None] * len(pairs)
+        drop = self.encoder.dropout > 0.0 and dropout_rng is not None
+        encoded = {} if encoded is None or drop else encoded
+        fresh = {}
+        keys = []
+        for pair in pairs:
+            for key, frozen, rows in ((("q", pair.query_id), pair.q_emb, pair.q_rows),
+                                      (("d", pair.doc_id), pair.d_emb, pair.d_rows)):
+                key = len(keys) if drop else key
+                if key not in encoded and key not in fresh:
+                    fresh[key] = self._vectors(frozen, rows)
+                keys.append(key)
+        encoded.update(zip(fresh, self.encoder.encode_batch(
+            list(fresh.values()), dropout_rng)))
+        return [(encoded[q], encoded[d]) for q, d in zip(keys[::2], keys[1::2])]
+
+    def rows(self, pair: PairInput, context=None) -> Tensor:
         """The document-aware rows: one per query term, or max_query_terms
         rows (padded or truncated) for the convolutional models."""
-        return self.rows_stage(self, pair, context, dropout_rng)
+        return self.rows_stage(self, pair, context)
 
     def gate_inputs(self, pair: PairInput) -> Tensor:
         """Per-q-term gate inputs: embedding, IDF, or the two side by side."""
@@ -107,17 +137,17 @@ class Scorer:
         q = self._vectors(pair.q_emb, pair.q_rows)
         return q if self.gate_mode == "emb" else concat([q, idf], axis=1)
 
-    def score(self, pair: PairInput, context=None, dropout_rng=None) -> Tensor:
+    def score(self, pair: PairInput, context=None) -> Tensor:
         p = self.params
         if not self.extra:
-            return self._aggregate(pair, self.rows(pair, context, dropout_rng))
+            return self._aggregate(pair, self.rows(pair, context))
         if pair.extra is None:
             raise ConfigError(
                 f"model {self.name!r} needs extra features on every pair")
         total = dot(p["combine.w_extra"], Tensor(pair.extra)) + p["combine.b"]
         if self.rows_stage is None:
             return total
-        base = self._aggregate(pair, self.rows(pair, context, dropout_rng))
+        base = self._aggregate(pair, self.rows(pair, context))
         return total + base * p["combine.w_model"]
 
     def _aggregate(self, pair: PairInput, rows: Tensor) -> Tensor:
@@ -180,7 +210,7 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
               model.params.add(f"conv{n}.b", np.zeros(filters)))
              for n in range(2, max_kernel + 1)]
 
-    def rows(model, pair, context, dropout_rng):
+    def rows(model, pair, context):
         # Looked up at call time, so a wrapper put on autodiff.conv2d (the
         # benchmark's tracer) sees every call.
         from ..autodiff import conv2d
@@ -215,7 +245,7 @@ def _drmm(dim: int, rng, buckets: int = 30, hidden=None,
     the graph: no gradient reaches the embeddings, only the head and gate."""
     edges = histogram_edges(buckets)
 
-    def rows(model, pair, context, dropout_rng):
+    def rows(model, pair, context):
         hists = np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
                           for q_vec in pair.q_emb])
         return Tensor(np.log1p(hists))
@@ -259,10 +289,10 @@ def _attention(views):
               emb_matrix=None) -> Scorer:
         width = 2 * dim
 
-        def rows(model, pair, context, dropout_rng):
+        def rows(model, pair, context):
             phi = None
             for view in views:
-                q, d = model.view(view, pair, context, dropout_rng)
+                q, d = model.view(view, pair, context)
                 if view == "embedding":  # duplicated to the encodings' width
                     q, d = concat([q, q], axis=1), concat([d, d], axis=1)
                 elif view == "exact":  # hashed one-hots
@@ -287,10 +317,10 @@ def _pooled(views):
     def build(dim: int, rng, k: int = 5, gate_mode: str = "emb+idf",
               dropout: float = 0.0, trainable_embeddings: bool = False,
               emb_matrix=None) -> Scorer:
-        def rows(model, pair, context, dropout_rng):
+        def rows(model, pair, context):
             feats = []
             for view in views:
-                q, d = model.view(view, pair, context, dropout_rng)
+                q, d = model.view(view, pair, context)
                 sims = (Tensor(equality_matrix(q, d)) if view == "exact"
                         else cosine_attention(q, d))
                 feats.append(max_kmax_pool(sims, k))

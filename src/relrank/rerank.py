@@ -5,11 +5,11 @@ attaching the per-query extra features when asked.  ``rerank_candidates``
 scores whole candidate lists with frozen parameters.  For a model with the
 context encoder, each list's query and every document not encoded earlier
 in the call go through the encoder together, in one padded pass
-(``BiRnnEncoder.encode_batch``); a document shared by many queries is
-encoded once per call, and each query once per list.  The pass gives every
-sequence the bits of encoding it alone, so each score equals
-``model.score(pair)`` bit for bit.  Scoring after the encoder stays per
-pair.
+(``Scorer.contexts``, the path training's minibatches take too); a
+document shared by many queries is encoded once per call, and each query
+once per list.  The pass gives every sequence the bits of encoding it
+alone, so each score equals ``model.score(pair)`` bit for bit.  Scoring
+after the encoder stays per pair.
 """
 
 from __future__ import annotations
@@ -83,32 +83,16 @@ def rerank_candidates(model: Scorer, builder: PairBuilder,
     if candidates is None:
         candidates = builder.candidates
     runs = []
-    encoded = {}  # doc_id -> the document's context encoding
+    encoded = {}  # (side, id) -> context encoding, kept for the whole call
     with no_grad():
         for query_id in sorted(candidates):
             pairs = [builder.pair(query_id, doc_id)
                      for doc_id in candidates[query_id].doc_ids()]
-            contexts = _list_contexts(model, pairs, encoded)
+            contexts = model.contexts(pairs, encoded=encoded)
             scored = [(pair.doc_id, float(model.score(pair, context).data))
                       for pair, context in zip(pairs, contexts)]
             runs.append(ranked_list_from_scores(query_id, scored))
     return runs
-
-
-def _list_contexts(model: Scorer, pairs: list[PairInput], encoded: dict):
-    """Each pair's (query, document) context encodings, or None per pair for
-    a model without the encoder.  The list's query and its documents not in
-    ``encoded`` are encoded in one pass; ``encoded`` keeps the documents'."""
-    if model.encoder is None or not pairs:
-        return [None] * len(pairs)
-    fresh = {}
-    for pair in pairs:
-        if pair.doc_id not in encoded and pair.doc_id not in fresh:
-            fresh[pair.doc_id] = model.view("embedding", pair)[1].data
-    query = model.view("embedding", pairs[0])[0].data
-    q_ctx, *docs = model.encoder.encode_batch([query, *fresh.values()])
-    encoded.update(zip(fresh, docs))
-    return [(q_ctx, encoded[pair.doc_id]) for pair in pairs]
 
 
 def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,

@@ -2,6 +2,10 @@
 
 Each epoch resamples one negative per positive from the query's candidate
 list, shuffles the instances, and applies bias-corrected Adam per batch.
+A batch gathers its pairs (positive, then negative, per instance), gets
+their context encodings in one call (``Scorer.contexts``: each distinct
+query and document encoded once, in one padded pass with
+backpropagation through time over the whole block), then scores them.
 The checkpoint with the best dev MAP is kept; a fixed seed makes the whole
 run, including the JSON-lines log, bitwise reproducible (wall-clock timing
 goes to the logger, never into the log records).
@@ -214,14 +218,16 @@ def train(model, data: TrainData, config: TrainConfig) -> TrainResult:
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.params.zero_grad()
-            batch_loss = None
+            pairs = []
             for index in batch:
                 inst = instances[index]
-                pos = data.builder.pair(inst.query_id, inst.positive)
-                neg = data.builder.pair(inst.query_id, inst.negative)
-                loss = pairwise_loss(
-                    model.score(pos, dropout_rng=rng),
-                    model.score(neg, dropout_rng=rng), config.margin)
+                pairs += [data.builder.pair(inst.query_id, inst.positive),
+                          data.builder.pair(inst.query_id, inst.negative)]
+            scores = [model.score(pair, context) for pair, context
+                      in zip(pairs, model.contexts(pairs, dropout_rng=rng))]
+            batch_loss = None
+            for s_pos, s_neg in zip(scores[::2], scores[1::2]):
+                loss = pairwise_loss(s_pos, s_neg, config.margin)
                 batch_loss = loss if batch_loss is None else batch_loss + loss
             value = float(batch_loss.data) / len(batch)
             if not np.isfinite(value):

@@ -333,6 +333,21 @@ class TestEvalCommand:
             f"out: {ws.qids[17:20]}\n")
         assert not list(tmp_path.glob("*.metrics.json"))
 
+    @pytest.mark.parametrize("permutations", ["0", "-5"])
+    @pytest.mark.parametrize("n_runs", [1, 2])
+    @pytest.mark.parametrize("missing", [[], ["--set", "qrels=absent.txt"]],
+                             ids=["inputs", "no-qrels"])
+    def test_permutations_below_one_rejected_before_any_input_is_read(
+            self, ws, tmp_path, capsys, permutations, n_runs, missing):
+        runs = [str(ws.out / "bm25.run")] * n_runs
+        assert main(["eval", ws.cfg, *runs, "--permutations", permutations,
+                     "--set", f"outputs={tmp_path}", *missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error[config]: --permutations must be >= 1, got {permutations}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_missing_run_file(self, ws, capsys):
         assert main(["eval", ws.cfg, str(ws.out / "nope.run")]) == 2
         assert "error[config]" in capsys.readouterr().err
@@ -369,6 +384,17 @@ class TestInspectCommand:
         dump = json.loads(out.read_text())
         assert "views" in dump
         assert read_meta(out)["seed"] == 0
+
+    @pytest.mark.parametrize("missing", [[], ["--set", "corpus=absent.jsonl"]],
+                             ids=["inputs", "no-corpus"])
+    def test_budget_below_one_rejected_before_any_input_is_read(
+            self, ws, trained, capsys, missing):
+        qid, did = self.pick_pair(ws)
+        assert main(["inspect", ws.cfg, qid, did, "--budget", "0",
+                     *missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error[config]: --budget must be >= 1, got 0\n"
 
     def test_unknown_query_is_data_error(self, ws, trained, capsys):
         assert main(["inspect", ws.cfg, "zzz", "d00001"]) == 3

@@ -230,8 +230,14 @@ class TestGradients:
         assert np.isfinite(params.grad_norm())
 
 
+def sweep_one(cell, x, reverse):
+    """One sequence through ``LstmCell.sweep``: the block of one."""
+    return cell.sweep(x, np.array([x.shape[0]]), reverse=reverse)
+
+
 class TestFusedDirection:
-    """``LstmCell.run`` is one autodiff node per direction with hand-written BPTT."""
+    """``LstmCell.sweep`` is one autodiff node per direction with
+    hand-written BPTT; here on the block of one."""
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
@@ -243,7 +249,8 @@ class TestFusedDirection:
         xs = rng.standard_normal((n, d))
         grad_h = rng.standard_normal((n, d))
         x = Tensor(xs.copy())
-        out = cell.run(x, reverse=reverse)
+        out = sweep_one(cell, x, reverse)
+        assert len(out.parents) == 4  # x, w_in, w_rec, bias: one node
         (out * Tensor(grad_h)).sum().backward()
         order = range(n - 1, -1, -1) if reverse else range(n)
         hidden, dx, dw_in, dw_rec, dbias = reference_bptt(
@@ -263,7 +270,7 @@ class TestFusedDirection:
 
         def f(w_in, w_rec, bias, x):
             cell.w_in, cell.w_rec, cell.bias = w_in, w_rec, bias
-            return (cell.run(x, reverse=reverse) * Tensor(weights)).sum()
+            return (sweep_one(cell, x, reverse) * Tensor(weights)).sum()
 
         report = grad_check(f, [cell.w_in.data.copy(), cell.w_rec.data.copy(),
                                 rng.standard_normal(4 * d),
@@ -316,6 +323,137 @@ class TestFusedDirection:
         enc.encode(Tensor(np.ones((9, 3))))
         assert calls.count(enc.forward_cell) == 9
         assert calls.count(enc.backward_cell) == 9
+
+
+# Ragged blocks: a 1-token sequence among longer ones, all of one length,
+# and all of length one.
+BLOCKS = [(5, 1, 7, 7, 3, 1), (4, 4, 4), (1, 1)]
+
+
+def set_cell_params(cell, w_in, w_rec, bias):
+    cell.w_in, cell.w_rec, cell.bias = w_in, w_rec, bias
+
+
+class TestBlockBackward:
+    """BPTT over a length-sorted block, against per-sequence oracles."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lengths", BLOCKS)
+    def test_block_matches_numpy_bptt_of_each_sequence(self, lengths, reverse):
+        rng = np.random.default_rng(300 + sum(lengths))
+        d = 3
+        cell = LstmCell(d, rng)
+        cell.bias.data[:] = rng.standard_normal(4 * d)
+        xs = [rng.standard_normal((n, d)) for n in lengths]
+        grads_h = [rng.standard_normal((n, d)) for n in lengths]
+        x = Tensor(np.concatenate(xs))
+        out = cell.sweep(x, np.array(lengths), reverse=reverse)
+        assert len(out.parents) == 4  # the whole block is one node
+        (out * Tensor(np.concatenate(grads_h))).sum().backward()
+        want = [np.zeros_like(t.data) for t in (cell.w_in, cell.w_rec, cell.bias)]
+        hidden, dx = [], []
+        for xi, gi in zip(xs, grads_h):
+            n = len(xi)
+            order = range(n - 1, -1, -1) if reverse else range(n)
+            h, dxi, *dparams = reference_bptt(xi, cell.w_in.data, cell.w_rec.data,
+                                              cell.bias.data, order, gi)
+            hidden.append(h)
+            dx.append(dxi)
+            for total, part in zip(want, dparams):
+                total += part
+        np.testing.assert_allclose(out.data, np.concatenate(hidden),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(x.grad, np.concatenate(dx), rtol=1e-12, atol=1e-13)
+        for got, total in zip((cell.w_in.grad, cell.w_rec.grad, cell.bias.grad), want):
+            np.testing.assert_allclose(got, total, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lengths", BLOCKS)
+    def test_block_grad_check(self, lengths, reverse):
+        rng = np.random.default_rng(400 + sum(lengths))
+        d = 3
+        cell = LstmCell(d, rng)
+        weights = rng.standard_normal((sum(lengths), d))
+
+        def f(w_in, w_rec, bias, x):
+            set_cell_params(cell, w_in, w_rec, bias)
+            out = cell.sweep(x, np.array(lengths), reverse=reverse)
+            return (out * Tensor(weights)).sum()
+
+        report = grad_check(f, [cell.w_in.data.copy(), cell.w_rec.data.copy(),
+                                rng.standard_normal(4 * d),
+                                rng.standard_normal((sum(lengths), d))], tol=1e-6)
+        assert report.passed, report
+
+    @pytest.mark.parametrize("lengths", BLOCKS)
+    def test_encode_batch_grad_check(self, lengths):
+        # Both directions, the residual and the split into items.
+        rng = np.random.default_rng(500 + sum(lengths))
+        d = 2
+        enc = random_encoder(d, rng)
+        weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
+        cells = (enc.forward_cell, enc.backward_cell)
+        params = [t.data.copy() for cell in cells
+                  for t in (cell.w_in, cell.w_rec, cell.bias)]
+
+        def f(*tensors):
+            for k, cell in enumerate(cells):
+                set_cell_params(cell, *tensors[3 * k:3 * k + 3])
+            outs = enc.encode_batch(list(tensors[6:]))
+            return sum((o * Tensor(w)).sum() for o, w in zip(outs, weights))
+
+        report = grad_check(f, params + [rng.standard_normal((n, d)) * 0.5
+                                         for n in lengths], tol=1e-6)
+        assert report.passed, report
+
+    def test_block_gradients_are_the_sum_over_sequences_alone(self):
+        rng = np.random.default_rng(37)
+        d = 3
+        enc = random_encoder(d, rng)
+        params = ParameterSet(enc.parameters())
+        lengths = (6, 1, 9, 6, 2)
+        arrays = [rng.standard_normal((n, d)) for n in lengths]
+        weights = [rng.standard_normal((n, 2 * d)) for n in lengths]
+        xs = [Tensor(a.copy()) for a in arrays]
+        sum((o * Tensor(w)).sum()
+            for o, w in zip(enc.encode_batch(xs), weights)).backward()
+        block = {name: t.grad.copy() for name, t in params.items()}
+        params.zero_grad()
+        alone = [Tensor(a.copy()) for a in arrays]
+        for x, w in zip(alone, weights):
+            (enc.encode(x) * Tensor(w)).sum().backward()  # leaf grads add up
+        for name, t in params.items():
+            np.testing.assert_allclose(block[name], t.grad, rtol=1e-12, atol=1e-12,
+                                       err_msg=name)
+        for x, y in zip(xs, alone):
+            np.testing.assert_allclose(x.grad, y.grad, rtol=1e-12, atol=1e-12)
+
+    def test_graph_size_independent_of_lengths(self):
+        rng = np.random.default_rng(38)
+        enc = BiRnnEncoder(4, rng)
+        sizes = set()
+        for lengths in [(1, 1, 1), (5, 2, 9), (60, 1, 33)]:
+            outs = enc.encode_batch([Tensor(rng.standard_normal((n, 4)))
+                                     for n in lengths])
+            sizes.add(reachable_nodes(sum(o.sum() for o in outs)))
+        assert len(sizes) == 1, sizes
+
+    def test_gates_kept_only_with_gradients(self, monkeypatch):
+        kept = []
+        original = LstmCell.scan
+
+        def recorded(self, zx, lengths, saved=None):
+            kept.append(saved is not None)
+            return original(self, zx, lengths, saved)
+
+        monkeypatch.setattr(LstmCell, "scan", recorded)
+        enc = BiRnnEncoder(3, np.random.default_rng(39))
+        xs = [Tensor(np.ones((n, 3))) for n in (4, 2)]
+        with no_grad():
+            enc.encode_batch(xs)
+        assert kept == [False, False]
+        enc.encode_batch(xs)
+        assert kept == [False, False, True, True]
 
 
 class TestDropout:
@@ -385,23 +523,26 @@ class TestBatchedPass:
             enc = random_encoder(d, rng)
             lengths = rng.integers(1, 25, size=int(rng.integers(1, 10)))
             lengths[rng.integers(len(lengths))] = 1  # a 1-token sequence
-            xs = [rng.standard_normal((n, d)) for n in lengths]
-            for x, got in zip(xs, enc.encode_batch(xs)):
-                np.testing.assert_array_equal(got, enc.encode(Tensor(x)).data)
+            xs = [Tensor(rng.standard_normal((n, d))) for n in lengths]
+            with no_grad():
+                frozen = enc.encode_batch(xs)
+            for x, got, cold in zip(xs, enc.encode_batch(xs), frozen):
+                np.testing.assert_array_equal(got.data, enc.encode(x).data)
+                np.testing.assert_array_equal(cold.data, got.data)
                 with no_grad():
-                    np.testing.assert_array_equal(
-                        got, enc.encode(Tensor(x)).data)
+                    np.testing.assert_array_equal(got.data, enc.encode(x).data)
 
     def test_order_and_company_do_not_matter(self):
         rng = np.random.default_rng(32)
         enc = random_encoder(5, rng)
-        xs = [rng.standard_normal((n, 5)) for n in (7, 1, 12, 7, 3)]
+        xs = [Tensor(rng.standard_normal((n, 5))) for n in (7, 1, 12, 7, 3)]
         batch = enc.encode_batch(xs)
         perm = rng.permutation(len(xs))
         shuffled = enc.encode_batch([xs[i] for i in perm])
         for j, i in enumerate(perm):
-            np.testing.assert_array_equal(shuffled[j], batch[i])
-        np.testing.assert_array_equal(enc.encode_batch(xs[1:2])[0], batch[1])
+            np.testing.assert_array_equal(shuffled[j].data, batch[i].data)
+        np.testing.assert_array_equal(enc.encode_batch(xs[1:2])[0].data,
+                                      batch[1].data)
         assert enc.encode_batch([]) == []
 
     def test_padding_never_changes_a_live_row(self):
@@ -426,10 +567,10 @@ class TestBatchedPass:
         # Each sequence's last backward state sees only its own last token.
         rng = np.random.default_rng(34)
         enc = random_encoder(3, rng)
-        xs = [rng.standard_normal((n, 3)) for n in (6, 2, 4)]
+        xs = [Tensor(rng.standard_normal((n, 3))) for n in (6, 2, 4)]
         for x, got in zip(xs, enc.encode_batch(xs)):
-            last = enc.encode(Tensor(x[-1:])).data[0]
-            np.testing.assert_array_equal(got[-1, 3:], last[3:])
+            last = enc.encode(Tensor(x.data[-1:])).data[0]
+            np.testing.assert_array_equal(got.data[-1, 3:], last[3:])
 
     def test_one_block_costs_its_longest_length_in_steps(self, monkeypatch):
         calls = []
@@ -443,7 +584,7 @@ class TestBatchedPass:
         rng = np.random.default_rng(35)
         enc = BiRnnEncoder(3, rng)
         lengths = [3, 9, 1, 5]
-        enc.encode_batch([rng.standard_normal((n, 3)) for n in lengths])
+        enc.encode_batch([Tensor(rng.standard_normal((n, 3))) for n in lengths])
         for cell in (enc.forward_cell, enc.backward_cell):
             rows = [b for owner, b in calls if owner is cell]
             assert len(rows) == 9
@@ -453,4 +594,4 @@ class TestBatchedPass:
     def test_dim_mismatch_rejected(self):
         enc = BiRnnEncoder(4, np.random.default_rng(36))
         with pytest.raises(ConfigError, match="expects"):
-            enc.encode_batch([np.zeros((3, 4)), np.zeros((2, 5))])
+            enc.encode_batch([Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 5)))])

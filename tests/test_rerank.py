@@ -164,9 +164,9 @@ class TestBatchedRerank:
         batches = []
         original = BiRnnEncoder.encode_batch
 
-        def recorded(self, xs):
-            batches.append([x.copy() for x in xs])
-            return original(self, xs)
+        def recorded(self, xs, dropout_rng=None):
+            batches.append([x.data.copy() for x in xs])
+            return original(self, xs, dropout_rng)
 
         def refused(self, *args, **kwargs):
             raise AssertionError("a reranked pair ran the encoder on its own")

@@ -373,7 +373,7 @@ class TestTrimmedConvRows:
     def assert_same(self, model, pair, max_q, max_d, max_kernel, k):
         score, grads = score_and_grads(model, pair)
         bias_terms = {}
-        model.rows_stage = lambda m, p, state, drop: padded_conv_rows(
+        model.rows_stage = lambda m, p, context: padded_conv_rows(
             m, p, max_q, max_d, max_kernel, k, bias_terms)
         expect, expect_grads = score_and_grads(model, pair)
         np.testing.assert_array_equal(score, expect)
@@ -476,7 +476,8 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(23)
         model = build_model("attn-drmm", 3, rng)
         pair = make_pair(rng, 2, 5, 3)
-        context = model.encoder.encode_batch([pair.q_emb, pair.d_emb])
+        context = model.encoder.encode_batch([Tensor(pair.q_emb),
+                                              Tensor(pair.d_emb)])
         cached = model.score(pair, context=context).data
         assert model.score(pair).data == cached
 

@@ -9,7 +9,9 @@ import math
 import numpy as np
 import pytest
 
+from relrank import training
 from relrank.autodiff import ParameterSet, Tensor
+from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
 from relrank.models import Scorer, build_model
 from relrank.training import (
@@ -21,7 +23,7 @@ from relrank.training import (
     train,
 )
 from relrank.trec import Qrels, ranked_list_from_scores
-from support import toy_world
+from support import toy_world, zero_encoder
 
 
 def candidate_list(qid, doc_ids):
@@ -249,7 +251,7 @@ class CountingScorer(Scorer):
         self.calls = 0
         self.poison_after = poison_after
 
-    def score(self, pair, context=None, dropout_rng=None):
+    def score(self, pair, context=None):
         self.calls += 1
         if self.poison_after is not None and self.calls > self.poison_after:
             return Tensor(float("nan")) * self.w
@@ -265,7 +267,7 @@ class FrozenScorer(Scorer):
         super().__init__()
         self.w = self.params.add("w", np.zeros(()))
 
-    def score(self, pair, context=None, dropout_rng=None):
+    def score(self, pair, context=None):
         return self.w * 0.0
 
 
@@ -279,7 +281,7 @@ class OverflowScorer(Scorer):
         super().__init__()
         self.w = self.params.add("w", np.zeros(()))
 
-    def score(self, pair, context=None, dropout_rng=None):
+    def score(self, pair, context=None):
         return self.w * 1e200 * 1e200
 
 
@@ -431,11 +433,134 @@ class TestGraphLifetime:
         try:
             gc.collect()
             model.params.zero_grad()
-            loss = pairwise_loss(model.score(pos, dropout_rng=rng),
-                                 model.score(neg, dropout_rng=rng), 1.0)
+            pos_ctx, neg_ctx = model.contexts([pos, neg], dropout_rng=rng)
+            loss = pairwise_loss(model.score(pos, pos_ctx),
+                                 model.score(neg, neg_ctx), 1.0)
             loss.backward()
             assert adam_step(model.params, adam)
             del loss
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def batch_pairs(data, rng):
+    """One epoch's instances as training lays them out: positive, then
+    negative, per instance, in the shuffled order."""
+    instances, _ = sample_instances(data.train_qrels, data.train_candidates, rng)
+    pairs = []
+    for index in rng.permutation(len(instances)):
+        inst = instances[index]
+        pairs += [data.builder.pair(inst.query_id, inst.positive),
+                  data.builder.pair(inst.query_id, inst.negative)]
+    return pairs
+
+
+class TestBatchedContexts:
+    """A minibatch's contexts come from one encoder pass over its distinct
+    sequences; gradients, dropout draws and step counts are the per-pair
+    path's."""
+
+    @pytest.mark.parametrize("trainable", [False, True])
+    @pytest.mark.parametrize("name", ["pooled-drmm-mv", "attn-drmm-mv"])
+    def test_batch_gradients_are_the_sum_of_per_pair_gradients(self, name,
+                                                               trainable):
+        data = toy_world(np.random.default_rng(40), with_extra=True)
+        model = build_model(name, 4, np.random.default_rng(41),
+                            extra_features=True, emb_matrix=data.builder.emb,
+                            trainable_embeddings=trainable)
+        pairs = batch_pairs(data, np.random.default_rng(42))
+        assert len({p.query_id for p in pairs}) < len(pairs)  # shared queries
+        weights = np.random.default_rng(43).standard_normal(len(pairs))
+        model.params.zero_grad()
+        contexts = model.contexts(pairs)
+        sum(model.score(p, c) * w
+            for p, c, w in zip(pairs, contexts, weights)).backward()
+        batched = {n: t.grad.copy() for n, t in model.params.items()}
+        model.params.zero_grad()
+        for pair, w in zip(pairs, weights):
+            (model.score(pair) * w).backward()  # leaf grads add up
+        if trainable:
+            assert np.abs(batched["embeddings"]).max() > 0.0
+        for n, t in model.params.items():
+            np.testing.assert_allclose(batched[n], t.grad, rtol=0, atol=1e-12,
+                                       err_msg=n)
+
+    def test_each_distinct_sequence_is_encoded_once(self, monkeypatch):
+        calls = []
+        original = BiRnnEncoder.encode_batch
+
+        def recorded(self, xs, dropout_rng=None):
+            calls.append(len(xs))
+            return original(self, xs, dropout_rng)
+
+        monkeypatch.setattr(BiRnnEncoder, "encode_batch", recorded)
+        data = toy_world(np.random.default_rng(44), with_extra=True)
+        model = build_model("attn-drmm", 4, np.random.default_rng(45),
+                            extra_features=True)
+        pairs = batch_pairs(data, np.random.default_rng(46))
+        contexts = model.contexts(pairs)
+        distinct = ({p.query_id for p in pairs}, {p.doc_id for p in pairs})
+        assert calls == [len(distinct[0]) + len(distinct[1])]
+        assert calls[0] < 2 * len(pairs)
+        for pair, (q_ctx, d_ctx) in zip(pairs, contexts):
+            first = pairs.index(next(p for p in pairs if p.query_id == pair.query_id))
+            assert q_ctx is contexts[first][0]
+            np.testing.assert_array_equal(
+                d_ctx.data, model.encoder.encode(Tensor(pair.d_emb)).data)
+            np.testing.assert_array_equal(
+                q_ctx.data, model.encoder.encode(Tensor(pair.q_emb)).data)
+
+    def test_dropout_masks_are_drawn_per_pair_query_then_document(
+            self, monkeypatch):
+        # With the recurrent cells at zero every context is [x ; x] for the
+        # masked input x, so the first batch's contexts show its masks.
+        outputs = []
+        original = BiRnnEncoder.encode_batch
+
+        def recorded(self, xs, dropout_rng=None):
+            out = original(self, xs, dropout_rng)
+            if dropout_rng is not None:
+                outputs.append([o.data.copy() for o in out])
+            return out
+
+        monkeypatch.setattr(BiRnnEncoder, "encode_batch", recorded)
+        monkeypatch.setattr(training, "dev_map", lambda model, data: 0.0)
+        data = toy_world(np.random.default_rng(47), with_extra=True)
+        model = build_model("pooled-drmm-mv", 4, np.random.default_rng(48),
+                            extra_features=True, dropout=0.4)
+        zero_encoder(model)
+        config = TrainConfig(epochs=1, batch_size=64, seed=5)
+        train(model, data, config)
+        # The reference: q+, d+, q-, d- per instance, from the same stream.
+        rng = np.random.default_rng(config.seed)
+        want = []
+        for pair in batch_pairs(data, rng):
+            for x in (pair.q_emb, pair.d_emb):
+                want.append(x * ((rng.random(x.shape) >= 0.4) / (1.0 - 0.4)))
+        assert len(outputs) == 1 and len(outputs[0]) == len(want)
+        for got, x in zip(outputs[0], want):
+            np.testing.assert_array_equal(got, np.concatenate([x, x], axis=1))
+        assert any((x == 0.0).any() for x in want)
+
+    def test_one_batch_steps_its_longest_sequence(self, monkeypatch):
+        calls = []
+        original = LstmCell.step
+
+        def counted(self, *args):
+            calls.append(self)
+            return original(self, *args)
+
+        monkeypatch.setattr(LstmCell, "step", counted)
+        monkeypatch.setattr(training, "dev_map", lambda model, data: 0.0)
+        data = toy_world(np.random.default_rng(49), with_extra=True)
+        model = build_model("attn-drmm-mv", 4, np.random.default_rng(50),
+                            extra_features=True)
+        config = TrainConfig(epochs=1, batch_size=64, seed=6)
+        train(model, data, config)
+        pairs = batch_pairs(data, np.random.default_rng(config.seed))
+        longest = max(max(len(p.q_emb), len(p.d_emb)) for p in pairs)
+        tokens = sum(len(p.q_emb) + len(p.d_emb) for p in pairs)
+        assert longest < tokens
+        for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
+            assert calls.count(cell) == longest
