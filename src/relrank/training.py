@@ -189,6 +189,21 @@ def dev_map(model, data: TrainData) -> float:
     return evaluate_run(run, data.dev_qrels, "dev").map
 
 
+def _batch_loss(model, builder: PairBuilder, batch: list[TrainingInstance],
+                rng: np.random.Generator, margin: float) -> Tensor:
+    """The summed hinge loss of a batch: its pairs, positive then negative
+    per instance, get their context encodings in one call, then scores."""
+    pairs = [builder.pair(inst.query_id, doc_id) for inst in batch
+             for doc_id in (inst.positive, inst.negative)]
+    contexts = model.contexts(pairs, dropout_rng=rng)
+    total = None
+    for i in range(0, len(pairs), 2):
+        loss = pairwise_loss(model.score(pairs[i], contexts[i]),
+                             model.score(pairs[i + 1], contexts[i + 1]), margin)
+        total = loss if total is None else total + loss
+    return total
+
+
 def train(model, data: TrainData, config: TrainConfig) -> TrainResult:
     """Run the optimization and return the best-dev-MAP checkpoint.
 
@@ -216,19 +231,10 @@ def train(model, data: TrainData, config: TrainConfig) -> TrainResult:
         order = rng.permutation(len(instances))
         total_loss = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
+            batch = [instances[i] for i in order[start:start + config.batch_size]]
             model.params.zero_grad()
-            pairs = []
-            for index in batch:
-                inst = instances[index]
-                pairs += [data.builder.pair(inst.query_id, inst.positive),
-                          data.builder.pair(inst.query_id, inst.negative)]
-            scores = [model.score(pair, context) for pair, context
-                      in zip(pairs, model.contexts(pairs, dropout_rng=rng))]
-            batch_loss = None
-            for s_pos, s_neg in zip(scores[::2], scores[1::2]):
-                loss = pairwise_loss(s_pos, s_neg, config.margin)
-                batch_loss = loss if batch_loss is None else batch_loss + loss
+            batch_loss = _batch_loss(model, data.builder, batch, rng,
+                                     config.margin)
             value = float(batch_loss.data) / len(batch)
             if not np.isfinite(value):
                 log.warning("training diverged at epoch %d: batch loss %r",
@@ -241,6 +247,7 @@ def train(model, data: TrainData, config: TrainConfig) -> TrainResult:
                 model.params.clip_grad_norm(config.clip_norm)
                 if not adam_step(model.params, adam):
                     rejected_steps += 1
+            del batch_loss  # free this batch's graph before the next is built
         if diverged:
             break
         train_loss = total_loss / len(instances)
