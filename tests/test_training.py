@@ -503,9 +503,9 @@ class TestBatchedContexts:
         distinct = ({p.query_id for p in pairs}, {p.doc_id for p in pairs})
         assert calls == [len(distinct[0]) + len(distinct[1])]
         assert calls[0] < 2 * len(pairs)
+        shared = {}
         for pair, (q_ctx, d_ctx) in zip(pairs, contexts):
-            first = pairs.index(next(p for p in pairs if p.query_id == pair.query_id))
-            assert q_ctx is contexts[first][0]
+            assert q_ctx is shared.setdefault(pair.query_id, q_ctx)
             np.testing.assert_array_equal(
                 d_ctx.data, model.encoder.encode(Tensor(pair.d_emb)).data)
             np.testing.assert_array_equal(
