@@ -134,28 +134,28 @@ class LstmCell:
         """
         d = self.dim
         order = np.argsort(-lengths, kind="stable")
-        starts = np.cumsum(lengths) - lengths
-        spans = [slice(starts[b], starts[b] + lengths[b]) for b in order]
         sorted_lengths = lengths[order]
-        steps, width = int(sorted_lengths[0]), len(spans)
-        visit = slice(None, None, -1) if reverse else slice(None)
-
-        def to_packed(block, out):
-            for col, rows in enumerate(spans):
-                out[rows] = block[:rows.stop - rows.start, col][visit]
-            return out
-
+        steps, width = int(sorted_lengths[0]), len(lengths)
+        starts = np.cumsum(lengths) - lengths
+        # Packed row r of sequence b is block entry (step[r], col[r]): its
+        # column is b's rank by length, its step counts from the token the
+        # cell visits first.
+        seq = np.repeat(np.arange(width), lengths)
+        pos = np.arange(len(seq)) - starts[seq]
+        step = lengths[seq] - 1 - pos if reverse else pos
+        col = np.empty(width, dtype=np.intp)
+        col[order] = np.arange(width)
+        col = col[seq]
         zx = np.zeros((steps, width, 4 * d))
-        for col, rows in enumerate(spans):
-            zx[:rows.stop - rows.start, col] = (x.data[rows] @ self.w_in.data)[visit]
+        zx[step, col] = np.concatenate([x.data[a:a + n] @ self.w_in.data
+                                        for a, n in zip(starts, lengths)])
         saved = None
         if grad_enabled():
             saved = tuple(np.zeros((steps, width, k * d)) for k in (4, 1, 1))
         hidden = self.scan(zx, sorted_lengths, saved)
         del zx
-        out = to_packed(hidden, np.empty((len(x.data), d)))
         if saved is None:
-            return Tensor(out)
+            return Tensor(hidden[step, col])
         gates, cells, tanh_cells = saved
         live = np.count_nonzero(sorted_lengths > np.arange(steps)[:, None], axis=1)
         xs, w_in, w_rec = x.data, self.w_in.data, self.w_rec.data
@@ -169,8 +169,7 @@ class LstmCell:
                                         i * (1.0 - g * g)], axis=2)
             dc_dh = o * (1.0 - tanh_cells * tanh_cells)
             dhidden = np.zeros((steps, width, d))
-            for col, rows in enumerate(spans):
-                dhidden[:rows.stop - rows.start, col] = dout[rows][visit]
+            dhidden[step, col] = dout
             dz = np.zeros((steps, width, 4 * d))
             dh_rec = np.zeros((width, d))
             dc = np.zeros((width, d))
@@ -184,11 +183,12 @@ class LstmCell:
                                     * dz_factor[t, :n])
                 dc[:n] = dc_t * f[t, :n]
                 dh_rec[:n] = dz_t @ w_rec
-            dzx = to_packed(dz, np.empty((len(xs), 4 * d)))
+            dzx = dz[step, col]
             flat = dz.reshape(-1, 4 * d)
             return (dzx @ w_in.T, xs.T @ dzx,
                     flat.T @ _previous(hidden).reshape(-1, d), flat.sum(axis=0))
-        return Tensor(out, (x, self.w_in, self.w_rec, self.bias), "lstm", rule)
+        return Tensor(hidden[step, col], (x, self.w_in, self.w_rec, self.bias),
+                      "lstm", rule)
 
 
 class BiRnnEncoder:
