@@ -147,8 +147,9 @@ class LstmCell:
         col[order] = np.arange(width)
         col = col[seq]
         zx = np.zeros((steps, width, 4 * d))
-        zx[step, col] = np.concatenate([x.data[a:a + n] @ self.w_in.data
-                                        for a, n in zip(starts, lengths)])
+        for a, n in zip(starts, lengths):
+            rows = slice(a, a + n)
+            zx[step[rows], col[rows]] = x.data[rows] @ self.w_in.data
         saved = None
         if grad_enabled():
             saved = tuple(np.zeros((steps, width, k * d)) for k in (4, 1, 1))
