@@ -137,19 +137,18 @@ class LstmCell:
         sorted_lengths = lengths[order]
         steps, width = int(sorted_lengths[0]), len(lengths)
         starts = np.cumsum(lengths) - lengths
-        # Packed row r of sequence b is block entry (step[r], col[r]): its
-        # column is b's rank by length, its step counts from the token the
-        # cell visits first.
+        rank = np.empty(width, dtype=np.intp)  # each sequence's column
+        rank[order] = np.arange(width)
+        visit = slice(None, None, -1) if reverse else slice(None)
+        zx = np.zeros((steps, width, 4 * d))
+        for a, n, c in zip(starts, lengths, rank):
+            zx[:n, c] = (x.data[a:a + n] @ self.w_in.data)[visit]
+        # Packed row r is block entry (step[r], col[r]); the step counts from
+        # the token the cell visits first.
         seq = np.repeat(np.arange(width), lengths)
         pos = np.arange(len(seq)) - starts[seq]
         step = lengths[seq] - 1 - pos if reverse else pos
-        col = np.empty(width, dtype=np.intp)
-        col[order] = np.arange(width)
-        col = col[seq]
-        zx = np.zeros((steps, width, 4 * d))
-        for a, n in zip(starts, lengths):
-            rows = slice(a, a + n)
-            zx[step[rows], col[rows]] = x.data[rows] @ self.w_in.data
+        col = rank[seq]
         saved = None
         if grad_enabled():
             saved = tuple(np.zeros((steps, width, k * d)) for k in (4, 1, 1))
