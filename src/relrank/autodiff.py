@@ -168,19 +168,25 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         # Interior gradients by node id, each dropped once its rule has run.
-        # A rule may hand one array to several parents, so interior sums are
-        # never taken in place and a leaf copies the first array it gets
-        # (clip_grad_norm scales leaf gradients in place).
+        # A rule may hand one array to several parents, so a Scatter adds in
+        # place only into a buffer the engine made (``owned``), and a leaf
+        # copies the first array it gets (clip_grad_norm scales it in place).
         pending = {}
+        owned = set()
 
         def receive(node, g):
             if node.parents:
                 buf = pending.get(id(node))
                 if isinstance(g, Scatter):
-                    buf = np.zeros_like(node.data) if buf is None else buf.copy()
+                    if id(node) not in owned:
+                        buf = np.zeros_like(node.data) if buf is None else buf.copy()
+                        owned.add(id(node))
                     np.add.at(buf, g.key, g.values)
+                elif buf is None:
+                    buf = g
                 else:
-                    buf = g if buf is None else buf + g
+                    buf = buf + g
+                    owned.add(id(node))
                 pending[id(node)] = buf
             elif isinstance(g, Scatter):
                 if node._grad is None:

@@ -3,7 +3,9 @@
 Tokenization lowercases and splits on non-alphanumeric characters, keeping
 single-character tokens (dropping them would destroy terms like "vitamin d").
 Stopwords are the English list under ``data/stopwords_en.txt``; the stemmer
-is Porter's.
+is Porter's, run once per distinct token by each ``TextPipeline``'s table.
+The table is held per instance, not per module: it dies with its pipeline,
+so every set-up that builds a pipeline pays for its own stems.
 """
 
 from __future__ import annotations
@@ -191,10 +193,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_and_normalize(text: str, stopwords) -> list[str]:
-    """Tokenize, drop stopwords, stem.  Empty output is allowed; the caller
-    decides whether an empty document or query is admissible."""
-    return [porter_stem(tok) for tok in tokenize(text) if tok not in stopwords]
+class _StemTable(dict):
+    """Token -> stem, or None for a stopword; stems a token on first lookup."""
+
+    def __missing__(self, token: str) -> str:
+        stem = self[token] = porter_stem(token)
+        return stem
 
 
 class TextPipeline:
@@ -205,9 +209,13 @@ class TextPipeline:
 
     def __init__(self):
         self.stopwords = default_stopwords()
+        self._stems = _StemTable.fromkeys(self.stopwords)
 
     def process(self, text: str) -> list[str]:
-        return tokenize_and_normalize(text, self.stopwords)
+        """Tokenize, drop stopwords, stem.  Empty output is allowed; the
+        caller decides whether an empty document or query is admissible."""
+        return [s for s in map(self._stems.__getitem__, tokenize(text))
+                if s is not None]
 
     @property
     def stopwords_digest(self) -> str:

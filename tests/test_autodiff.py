@@ -73,6 +73,32 @@ class TestBasicOps:
         ((a + b) + a).sum().backward()
         np.testing.assert_array_equal(x.grad, [7.0, 7.0])
 
+    def test_scatters_after_a_handed_array_add_into_a_copy(self):
+        # c's rule hands one array to a and b; a then also receives two
+        # Scatters, which must not add into the array b holds too.
+        rng = np.random.default_rng(5)
+        x, y = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=(4, 3)))
+        w, w1, w2 = (rng.normal(size=s) for s in [(4, 3), (2, 3), (3, 3)])
+        a, b = x * 2.0, y * 3.0
+        handed = []
+
+        def rule(g):
+            handed.append((g, g.copy()))
+            return g, g
+
+        c = Tensor(a.data + b.data, (a, b), "add", rule)
+        rows1, rows2 = np.array([0, 2]), np.array([1, 1, 3])
+        ((c * Tensor(w)).sum() + (a[rows1] * Tensor(w1)).sum()
+         + (ad.gather_rows(a, rows2) * Tensor(w2)).sum()).backward()
+
+        grad_a = w.copy()
+        np.add.at(grad_a, rows1, w1)
+        np.add.at(grad_a, rows2, w2)
+        np.testing.assert_allclose(x.grad, 2.0 * grad_a, rtol=1e-15)
+        np.testing.assert_allclose(y.grad, 3.0 * w, rtol=1e-15)
+        [(array, before)] = handed
+        np.testing.assert_array_equal(array, before)
+
     def test_unreachable_tensor_reads_zero_grad(self):
         x = Tensor(np.ones(3))
         y = Tensor(np.ones(3))

@@ -1,5 +1,6 @@
 """Tests for tokenization, stemming, vocabulary, and IDF."""
 
+import collections
 import hashlib
 import json
 import math
@@ -7,8 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from relrank import text as text_module
 from relrank.errors import ConfigError, DataError
 from relrank.files import file_digest
+from relrank.synthetic import generate_world
 from relrank.text import (
     OOV_ID,
     IdfTable,
@@ -22,7 +25,6 @@ from relrank.text import (
     process_queries,
     stopword_hash,
     tokenize,
-    tokenize_and_normalize,
 )
 
 # Reference outputs of the classic Porter algorithm, checked against its
@@ -76,9 +78,9 @@ class TestPorterStemmer:
             assert len(stems) == 1, (family, stems)
 
     def test_case_folding_happens_before_stemming(self):
-        stops = frozenset()
+        pipe = TextPipeline()
         variants = ["regulated", "Regulated", "REGULATED"]
-        outs = [tokenize_and_normalize(v, stops) for v in variants]
+        outs = [pipe.process(v) for v in variants]
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0]) == 1
 
@@ -92,7 +94,7 @@ class TestTokenizer:
 
     def test_single_letters_survive(self):
         # "vitamin d" must not lose its head noun.
-        toks = tokenize_and_normalize("Vitamin D deficiency", default_stopwords())
+        toks = TextPipeline().process("Vitamin D deficiency")
         assert toks[:2] == ["vitamin", "d"]
 
     def test_empty_and_punctuation_only(self):
@@ -100,7 +102,7 @@ class TestTokenizer:
         assert tokenize("?!... --- ") == []
 
     def test_stopwords_removed(self):
-        toks = tokenize_and_normalize("what does the drug do", default_stopwords())
+        toks = TextPipeline().process("what does the drug do")
         assert "does" not in toks
         assert "the" not in toks
         assert "drug" in toks
@@ -330,3 +332,93 @@ class TestQueryIngestion:
         qpath.write_text('{"id": "q0", "text": "aspirin"}\n' + line + "\n")
         with pytest.raises(DataError, match=f":2: .*{message}"):
             process_queries(qpath, TextPipeline(), Vocabulary(["aspirin"]))
+
+
+# Mixed case, digits, stopwords and repeated inflections, with words that
+# stem to themselves, words that do not, and texts left empty.
+HAND_DOCS = [
+    "Regulated REGULATES regulating the Regulation of IL-6 in 2019",
+    "Connections connected; CONNECTING connect -- what does the drug do?",
+    "Vitamin D deficiency: the vitamins D2 and d3 were Measured, measuring 10",
+    "THE of AND it",
+    "ponies caresses ties happy sky hopping Hopping HOPPING relational",
+    "",
+    "Aspirin reduces the risk of cardiovascular events; aspirin 81mg daily",
+]
+HAND_QUERIES = [
+    "regulation of vitamin d",
+    "What does aspirin do",
+    "the of",
+    "hopefulness HOPPING conditional x7 IL 6",
+]
+
+
+def _oracle(text, stopwords):
+    """What the pipeline promises: stem every non-stopword token."""
+    return [porter_stem(t) for t in tokenize(text) if t not in stopwords]
+
+
+def _write_jsonl(path, texts, prefix):
+    path.write_text("".join(json.dumps({"id": f"{prefix}{i}", "text": t}) + "\n"
+                            for i, t in enumerate(texts)))
+    return path
+
+
+class TestStemTable:
+    @pytest.fixture(scope="class")
+    def world(self):
+        # The acceptance-5 synthetic world.
+        return generate_world(seed=11, n_docs=2000, n_queries=200, dim=8,
+                              doc_len=16, threshold_scale=1.25)
+
+    @pytest.fixture
+    def stem_calls(self, monkeypatch):
+        """porter_stem's calls, counted by token."""
+        calls = collections.Counter()
+
+        def counting_stem(token):
+            calls[token] += 1
+            return porter_stem(token)
+
+        monkeypatch.setattr(text_module, "porter_stem", counting_stem)
+        return calls
+
+    @pytest.mark.parametrize("source", ["hand", "world"])
+    def test_corpus_and_queries_match_the_per_token_oracle(self, tmp_path, world,
+                                                           source):
+        if source == "hand":
+            docs, queries = HAND_DOCS, HAND_QUERIES
+        else:
+            docs = [d["text"] for d in world.documents]
+            queries = [q["text"] for q in world.queries]
+        pipe = TextPipeline()
+        stops = pipe.stopwords
+        for text in docs + queries:
+            assert pipe.process(text) == _oracle(text, stops), text
+
+        build = process_corpus(_write_jsonl(tmp_path / "c.jsonl", docs, "d"),
+                               TextPipeline())
+        kept = [(f"d{i}", _oracle(t, stops)) for i, t in enumerate(docs)]
+        kept = [(doc_id, toks) for doc_id, toks in kept if toks]
+        vocab = Vocabulary(tok for _, toks in kept for tok in toks)
+        assert build.vocabulary.tokens() == vocab.tokens()
+        assert [(d.doc_id, d.terms) for d in build.documents] == [
+            (doc_id, [vocab.id_of(t) for t in toks]) for doc_id, toks in kept]
+
+    def test_each_distinct_token_is_stemmed_once_per_pipeline(self, tmp_path,
+                                                              stem_calls):
+        pipe = TextPipeline()
+        build = process_corpus(_write_jsonl(tmp_path / "c.jsonl", HAND_DOCS, "d"),
+                               pipe)
+        process_queries(_write_jsonl(tmp_path / "q.jsonl", HAND_QUERIES, "q"),
+                        pipe, build.vocabulary)
+        seen = {t for text in HAND_DOCS + HAND_QUERIES for t in tokenize(text)}
+        assert set(stem_calls) == seen - pipe.stopwords
+        assert set(stem_calls.values()) == {1}
+
+    def test_a_second_pipeline_starts_with_an_empty_table(self, stem_calls):
+        first, second = TextPipeline(), TextPipeline()
+        text = " ".join(HAND_DOCS)
+        assert first.process(text) == second.process(text)
+        distinct = set(tokenize(text)) - first.stopwords
+        assert stem_calls == collections.Counter(dict.fromkeys(distinct, 2))
