@@ -26,6 +26,10 @@ Conventions:
   * ``softmax`` subtracts the per-axis max before exponentiation.
   * normalizing a zero row yields the zero row and propagates zero
     gradient.
+  * padded batches: ``softmax`` and ``kmax`` take a mask of the real cells,
+    and padding is zeros.  A sum (``sum``, the softmax normalizer) adds in
+    index order and ``einsum`` uses numpy's C loop, so a row's value has
+    the same bits alone and inside any batch, with zeros appended.
 """
 
 from __future__ import annotations
@@ -48,7 +52,8 @@ __all__ = [
     "grad_enabled",
     "concat",
     "stack",
-    "dot",
+    "einsum",
+    "pad",
     "l2_normalize_rows",
     "add_rowvec",
     "gather_rows",
@@ -277,6 +282,7 @@ class Tensor:
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
+        """Sum over ``axis`` (every entry if None), added in index order."""
         shape = self.data.shape
 
         def rule(g):
@@ -285,7 +291,7 @@ class Tensor:
             # A copy, not the zero-stride view: matmul rounds differently
             # on a zero-stride operand.
             return (np.broadcast_to(g, shape).copy(),)
-        return Tensor(self.data.sum(axis=axis), (self,), "sum", rule)
+        return Tensor(_ordered_sum(self.data, axis), (self,), "sum", rule)
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
@@ -303,27 +309,33 @@ class Tensor:
         return Tensor(np.take_along_axis(self.data, idx, axis).squeeze(axis),
                       (self,), "max", rule)
 
-    def kmax(self, k):
+    def kmax(self, k, mask=None):
         """The k largest values along the last axis, sorted descending.
 
         Ties keep their original left-to-right order, so the earlier index is
         selected first; gradient flows only to the selected positions.
-        Supports 1-D and 2-D tensors.
+        ``mask``, broadcast to the shape, marks the cells that may be
+        selected: a row with fewer than k of them fills its last slots with
+        0, which take no gradient.
         """
         if k < 1:
             raise ValueError("kmax needs k >= 1")
-        if self.data.shape[-1] < k:
-            raise ValueError(f"kmax k={k} exceeds axis length {self.data.shape[-1]}")
-        if self.ndim not in (1, 2):
-            raise ValueError("kmax supports 1-D and 2-D tensors only")
+        if self.ndim < 1 or self.data.shape[-1] < k:
+            raise ValueError(f"kmax k={k} exceeds the last axis of {self.shape}")
         shape = self.data.shape
-        order = np.argsort(-self.data, axis=-1, kind="stable")[..., :k]
+        x = self.data if mask is None else np.where(mask, self.data, -np.inf)
+        order = np.argsort(-x, axis=-1, kind="stable")[..., :k]
+        top = np.take_along_axis(x, order, axis=-1)
+        if mask is not None:
+            real = np.take_along_axis(np.broadcast_to(mask, shape), order, axis=-1)
+            top = np.where(real, top, 0.0)
 
         def rule(g):
             buf = np.zeros(shape)
-            np.put_along_axis(buf, order, g, axis=-1)
+            np.put_along_axis(buf, order, g if mask is None
+                              else np.where(real, g, 0.0), axis=-1)
             return (buf,)
-        return Tensor(np.take_along_axis(self.data, order, axis=-1), (self,), "kmax", rule)
+        return Tensor(top, (self,), "kmax", rule)
 
     # -- pointwise nonlinearities --------------------------------------------
 
@@ -331,10 +343,16 @@ class Tensor:
         y = np.maximum(self.data, 0.0)
         return Tensor(y, (self,), "relu", lambda g: ((y > 0.0) * g,))
 
-    def softmax(self, axis=-1):
-        z = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        y = e / e.sum(axis=axis, keepdims=True)
+    def softmax(self, axis=-1, mask=None):
+        """Softmax along ``axis``.  With ``mask``, broadcast to the shape,
+        only its True cells take part; the others get 0 and no gradient."""
+        x = self.data
+        if mask is not None:
+            if not np.all(np.any(np.broadcast_to(mask, x.shape), axis=axis)):
+                raise ValueError("softmax over a row with no unmasked cell")
+            x = np.where(mask, x, -np.inf)
+        e = np.exp(x - x.max(axis=axis, keepdims=True))
+        y = e / _ordered_sum(e, axis, keepdims=True)
         return Tensor(y, (self,), "softmax",
                       lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
@@ -342,6 +360,17 @@ class Tensor:
 def _same_shape(a: Tensor, b: Tensor):
     if a.data.shape != b.data.shape:
         raise ValueError(f"shape mismatch: {a.data.shape} vs {b.data.shape}")
+
+
+def _ordered_sum(x: np.ndarray, axis=None, keepdims=False) -> np.ndarray:
+    """``np.sum`` added in index order.  numpy's pairwise blocks regroup the
+    terms when zeros are appended along the axis; this sum keeps its bits."""
+    if axis is None:
+        x, axis = x.reshape(-1), 0
+    if x.shape[axis] == 0:
+        return np.sum(x, axis=axis, keepdims=keepdims)
+    return np.take(np.add.accumulate(x, axis=axis), [-1] if keepdims else -1,
+                   axis=axis)
 
 
 # -- multi-tensor ops --------------------------------------------------------
@@ -368,35 +397,77 @@ def stack(tensors, axis=0):
                   lambda g: tuple(np.moveaxis(g, axis, 0)))
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("dot expects 1-D tensors")
-    _same_shape(a, b)
-    x, y = a.data, b.data
-    return Tensor(np.dot(x, y), (a, b), "dot", lambda g: (g * y, g * x))
+def einsum(spec: str, *operands) -> Tensor:
+    """numpy's ``einsum`` with an explicit output (``"bqw,bdw->bqd"``);
+    arrays among the operands are constants, tensors get gradients.
+
+    It runs numpy's C loop, whose sum for one output entry does not depend
+    on the entries around it (a BLAS gemm's does), so a row of a batch gets
+    the bits it gets alone.  Every index of a tensor operand must appear in
+    the output or in another operand; the rule contracts the output
+    gradient with the other operands into each tensor's indices.
+    """
+    inputs, out = spec.replace(" ", "").split("->")
+    terms = inputs.split(",")
+    arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+              for x in operands]
+    grads_for = [i for i, x in enumerate(operands) if isinstance(x, Tensor)]
+    for i in grads_for:
+        labels = terms[i].replace("...", ".")
+        others = "".join(terms[:i] + terms[i + 1:] + [out]).replace("...", ".")
+        if len(set(labels)) != len(labels) or not set(labels) <= set(others):
+            raise ValueError(f"einsum {spec!r}: no gradient rule for operand {i}")
+
+    def rule(g):
+        grads = []
+        for i in grads_for:
+            others = terms[:i] + terms[i + 1:]
+            # numpy sums no ellipsis away: keep it, then add over its axes.
+            spread = "..." in out and "..." not in terms[i]
+            grad = np.einsum(",".join([out] + others) + "->"
+                             + ("..." if spread else "") + terms[i],
+                             g, *(arrays[:i] + arrays[i + 1:]))
+            if spread:
+                grad = grad.reshape((-1,) + arrays[i].shape).sum(axis=0)
+            grads.append(grad)
+        return grads
+    return Tensor(np.einsum(spec, *arrays),
+                  tuple(operands[i] for i in grads_for), "einsum", rule)
+
+
+def pad(t: Tensor, mask: np.ndarray) -> Tensor:
+    """Spread the rows of ``t`` over the True cells of the boolean ``mask``
+    in row-major order, zeros elsewhere: (N, ...) rows and a mask with N
+    True cells give ``mask.shape + t.shape[1:]``."""
+    out = np.zeros(mask.shape + t.shape[1:])
+    out[mask] = t.data
+    return Tensor(out, (t,), "pad", lambda g: (g[mask],))
 
 
 def l2_normalize_rows(t: Tensor) -> Tensor:
-    """Row-wise unit normalization of a 2-D tensor; zero rows stay zero."""
-    if t.ndim != 2:
-        raise ValueError("l2_normalize_rows expects a 2-D tensor")
-    norms = np.linalg.norm(t.data, axis=1, keepdims=True)
+    """Unit normalization along the last axis, of every row of an N-D
+    tensor; zero rows stay zero."""
+    if t.ndim < 1:
+        raise ValueError("l2_normalize_rows expects at least a 1-D tensor")
+    norms = np.linalg.norm(t.data, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     y = t.data / safe
     y = np.where(norms == 0.0, 0.0, y)
 
     def rule(g):
-        contrib = (g - y * np.sum(g * y, axis=1, keepdims=True)) / safe
+        contrib = (g - y * np.sum(g * y, axis=-1, keepdims=True)) / safe
         return (np.where(norms == 0.0, 0.0, contrib),)
     return Tensor(y, (t,), "l2_normalize_rows", rule)
 
 
 def add_rowvec(m: Tensor, v: Tensor) -> Tensor:
-    """Add a length-c vector to every row of an (r, c) tensor."""
-    if m.ndim != 2 or v.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
+    """Add ``v`` to every trailing block of ``m`` shaped like it: a length-c
+    vector to every row of an (r, c) tensor, a 0-d tensor to every entry."""
+    lead = m.ndim - v.ndim
+    if lead < 0 or m.data.shape[lead:] != v.data.shape:
         raise ValueError(f"add_rowvec shapes {m.data.shape} and {v.data.shape}")
-    return Tensor(m.data + v.data[None, :], (m, v), "add_rowvec",
-                  lambda g: (g, g.sum(axis=0)))
+    return Tensor(m.data + v.data, (m, v), "add_rowvec",
+                  lambda g: (g, g.reshape((-1,) + v.data.shape).sum(axis=0)))
 
 
 def gather_rows(t: Tensor, indices) -> Tensor:

@@ -1,10 +1,11 @@
 """Relevance scoring architectures and their shared building blocks."""
 
 from .features import ExtraFeatureBuilder, ExtraFeatures
-from .inputs import PairInput, build_pair_input
+from .inputs import KeyCodes, PairBatch, PairInput, build_pair_input
 from .scorers import BASELINE, Scorer, build_model, check_hyperparameters, model_names
 
 __all__ = [
-    "BASELINE", "ExtraFeatureBuilder", "ExtraFeatures", "PairInput", "Scorer",
+    "BASELINE", "ExtraFeatureBuilder", "ExtraFeatures", "KeyCodes", "PairBatch",
+    "PairInput", "Scorer",
     "build_model", "build_pair_input", "check_hyperparameters", "model_names",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, add_rowvec
+from ..autodiff import Tensor, add_rowvec, einsum
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -17,7 +17,8 @@ class Mlp:
     """Dense stack with relu between hidden layers and a linear scalar head.
 
     ``hidden=()`` degenerates to a single linear layer.  Weights are (in,
-    out) and applied as ``x @ w``; biases start at zero.
+    out) and applied as ``x @ w`` by an einsum, whose bits for a row do not
+    depend on the other rows; biases start at zero.
     """
 
     def __init__(self, in_dim: int, hidden, rng: np.random.Generator):
@@ -37,11 +38,12 @@ class Mlp:
         return out
 
     def rows(self, x: Tensor) -> Tensor:
-        """Map an (n, in_dim) tensor to n scalars."""
-        h = x
+        """Map a (..., in_dim) tensor to (...,) scalars, one per row."""
+        lead = x.shape[:-1]
+        h = x.reshape(-1, x.shape[-1])
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add_rowvec(h @ w, b)
+            h = add_rowvec(einsum("ni,io->no", h, w), b)
             if i < last:
                 h = h.relu()
-        return h.reshape(h.shape[0])
+        return h.reshape(*lead)

@@ -1,8 +1,10 @@
-"""Per-pair inputs assembled once and consumed by any scorer."""
+"""Per-pair inputs assembled once and consumed by any scorer, and the
+padded batch that scores many of them in one pass."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zlib
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -10,9 +12,38 @@ from ..embeddings import EmbeddingMatrix, exact_match_keys
 from ..text import IdfTable, ProcessedDocument, ProcessedQuery
 
 
+class KeyCodes(dict):
+    """Exact-match key -> int code, filled on first lookup.
+
+    A code is the key's CRC-32 (of its ``repr``) shifted left by 16 bits,
+    plus the number of earlier keys of this table with the same CRC: equal
+    codes mean equal keys, and ``code >> 16`` is the CRC that the hashed
+    one-hots fold into their width.  Each distinct key is hashed once per
+    table; a ``PairBuilder`` keeps one for all its pairs.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._crcs: dict[int, int] = {}  # CRC -> keys seen with it
+
+    def __missing__(self, key) -> int:
+        crc = zlib.crc32(repr(key).encode("utf-8"))
+        rank = self._crcs.get(crc, 0)
+        self._crcs[crc] = rank + 1
+        code = self[key] = crc << 16 | rank
+        return code
+
+    def codes(self, keys) -> np.ndarray:
+        return np.array([self[key] for key in keys], dtype=np.int64)
+
+
 @dataclass
 class PairInput:
-    """Everything a scorer may need for one query-document pair."""
+    """Everything a scorer may need for one query-document pair.
+
+    ``q_codes`` and ``d_codes`` are the keys' codes from ``key_codes`` (a
+    fresh table when it is None), set at construction.
+    """
 
     query_id: str
     doc_id: str
@@ -24,11 +55,20 @@ class PairInput:
     q_keys: list         # exact-match equality keys
     d_keys: list
     extra: np.ndarray | None = None  # (4,) extra features when enabled
+    key_codes: InitVar[KeyCodes | None] = None
+    q_codes: np.ndarray = field(init=False, repr=False)
+    d_codes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, key_codes):
+        table = KeyCodes() if key_codes is None else key_codes
+        self.q_codes = table.codes(self.q_keys)
+        self.d_codes = table.codes(self.d_keys)
 
 
 def build_pair_input(query: ProcessedQuery, doc: ProcessedDocument,
                      emb: EmbeddingMatrix, idf: IdfTable,
-                     extra: np.ndarray | None = None) -> PairInput:
+                     extra: np.ndarray | None = None,
+                     key_codes: KeyCodes | None = None) -> PairInput:
     q_rows = emb.resolve(query.terms)
     d_rows = emb.resolve(doc.terms)
     q_keys, d_keys = exact_match_keys(query, doc)
@@ -43,4 +83,40 @@ def build_pair_input(query: ProcessedQuery, doc: ProcessedDocument,
         q_keys=q_keys,
         d_keys=d_keys,
         extra=extra,
+        key_codes=key_codes,
     )
+
+
+class PairBatch:
+    """Pairs padded together: the query side ``"q"`` to the batch's longest
+    query, the document side ``"d"`` to its longest document.  A side's
+    mask, (B, longest), marks the real terms."""
+
+    def __init__(self, pairs: list[PairInput]):
+        self.pairs = list(pairs)
+        self.q_mask = _mask([len(p.q_emb) for p in self.pairs])
+        self.d_mask = _mask([len(p.d_emb) for p in self.pairs])
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def mask(self, side: str) -> np.ndarray:
+        return self.q_mask if side == "q" else self.d_mask
+
+    def pad(self, side: str, values, fill=0) -> np.ndarray:
+        """One array per pair, its first axis along the side, laid onto the
+        side's mask with ``fill`` in the padding: (B, longest, ...).
+        ``values`` is the list, or a field of the side (``"emb"`` reads
+        each pair's ``q_emb`` or ``d_emb``)."""
+        if isinstance(values, str):
+            values = [getattr(p, f"{side}_{values}") for p in self.pairs]
+        mask = self.mask(side)
+        packed = np.concatenate(values)
+        out = np.full(mask.shape + packed.shape[1:], fill, dtype=packed.dtype)
+        out[mask] = packed
+        return out
+
+
+def _mask(lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    return np.arange(lengths.max(initial=0)) < lengths[:, None]

@@ -3,15 +3,20 @@
 Anything that must carry gradients (attention, pooling, gating) works on
 autodiff tensors; fixed signals (histograms, similarity matrices over frozen
 embeddings, exact-match comparisons) are plain numpy.
+
+The views, the pooling and the gate take one pair, (n, w) query rows and
+(m, w) document rows, or a padded batch of pairs, (B, n, w) and (B, m, w),
+with a mask of the real document terms.  Padding never wins a max and
+takes no attention or gate mass, and every real row keeps the bits it has
+for its pair alone.
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
-from ..autodiff import Tensor, l2_normalize_rows, stack
+from ..autodiff import Tensor, einsum, l2_normalize_rows, stack
+from .inputs import KeyCodes
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -52,9 +57,10 @@ def drmm_histogram(q_vec: np.ndarray, d_vecs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def term_gate(feats: Tensor, w_gate: Tensor) -> Tensor:
-    """Softmax attention over query terms; output sums to 1."""
-    return (feats @ w_gate).softmax()
+def term_gate(feats: Tensor, w_gate: Tensor, mask=None) -> Tensor:
+    """Softmax attention over the query terms (the last axis of the
+    result), restricted to ``mask``'s real terms; each row sums to 1."""
+    return einsum("...f,f->...", feats, w_gate).softmax(mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -90,32 +96,45 @@ def softmax_idf(q_idf: np.ndarray, max_q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def attended_match_vectors(q_ctx: Tensor, d_ctx: Tensor) -> Tensor:
+def attended_match_vectors(q_ctx: Tensor, d_ctx: Tensor, d_mask=None) -> Tensor:
     """Per-q-term Hadamard signature of the attended document vector.
 
-    Attention is a softmax over dot products; the attended document vector
-    and the q-term encoding are unit-normalized and multiplied elementwise,
-    so the components sum to their cosine.
+    Attention is a softmax over dot products with the real document terms
+    (``d_mask``, (B, m), in a batch); the attended document vector and the
+    q-term encoding are unit-normalized and multiplied elementwise, so the
+    components sum to their cosine.  With rows at least 2 wide the
+    attended vector adds the document terms in order, so padding, whose
+    weight is 0, leaves its bits.
     """
-    logits = q_ctx @ d_ctx.T
-    attended = logits.softmax(axis=1) @ d_ctx
+    logits = einsum("...qw,...dw->...qd", q_ctx, d_ctx)
+    weights = logits.softmax(mask=None if d_mask is None else d_mask[..., None, :])
+    attended = einsum("...qd,...dw->...qw", weights, d_ctx)
     return l2_normalize_rows(attended) * l2_normalize_rows(q_ctx)
 
 
 def cosine_attention(q_ctx: Tensor, d_ctx: Tensor) -> Tensor:
     """Unnormalized attention: plain cosine of every q-term/d-term pair."""
-    return l2_normalize_rows(q_ctx) @ l2_normalize_rows(d_ctx).T
+    return einsum("...qw,...dw->...qd", l2_normalize_rows(q_ctx),
+                  l2_normalize_rows(d_ctx))
 
 
-def max_kmax_pool(scores: Tensor, k: int) -> Tensor:
-    """Row-wise <max, mean of k largest>; k is capped at the row length.
+def max_kmax_pool(scores: Tensor, k: int, mask=None) -> Tensor:
+    """Row-wise <max, mean of k largest> along the last axis; k is capped
+    at the row's real length, the cells ``mask`` (broadcast to the shape)
+    marks in a padded batch.
 
-    The max is the k-max's first column: the same element as ``max``
-    picks, since both take the earlier index on ties."""
-    if scores.ndim != 2 or scores.shape[1] < 1:
+    The max is the k-max's first column: the same element as ``max`` picks,
+    since both take the earlier index on ties."""
+    if scores.ndim < 2 or scores.shape[-1] < 1:
         raise ValueError(f"expected a nonempty (n, m) score matrix, got {scores.shape}")
-    top = scores.kmax(min(k, scores.shape[1]))
-    return stack([top[:, 0], top.mean(axis=1)], axis=1)
+    real = scores.shape[-1]
+    if mask is not None:
+        real = np.count_nonzero(np.broadcast_to(mask, scores.shape), axis=-1)
+        if not np.all(real):
+            raise ValueError("max_kmax_pool over a row with no real cell")
+    top = scores.kmax(min(k, scores.shape[-1]), mask)
+    return stack([top[..., 0], top.sum(axis=-1) * (1.0 / np.minimum(k, real))],
+                 axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +142,36 @@ def max_kmax_pool(scores: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _codes(q_keys, d_keys):
+    """Both sides as key codes: code arrays (``PairInput.q_codes``, or a
+    padded batch's with -1 in the padding) pass through, and two lists of
+    keys are coded by one fresh table."""
+    if isinstance(q_keys, np.ndarray):
+        return q_keys, d_keys
+    table = KeyCodes()
+    return table.codes(q_keys), table.codes(d_keys)
+
+
 def equality_matrix(q_keys, d_keys) -> np.ndarray:
-    """{0,1} matrix of exact key equality; the cosine matrix of one-hots."""
-    out = np.zeros((len(q_keys), len(d_keys)), dtype=np.float64)
-    for i, qk in enumerate(q_keys):
-        for j, dk in enumerate(d_keys):
-            if qk == dk:
-                out[i, j] = 1.0
-    return out
-
-
-def _hash_slot(key, width: int) -> int:
-    return zlib.crc32(repr(key).encode("utf-8")) % width
+    """{0,1} matrix of exact key equality, (..., n) and (..., m) keys to
+    (..., n, m); the cosine matrix of one-hots.  Padding matches nothing."""
+    q, d = _codes(q_keys, d_keys)
+    q = q[..., :, None]
+    return ((q == d[..., None, :]) & (q >= 0)).astype(np.float64)
 
 
 def hashed_match_vectors(q_keys, d_keys, width: int):
-    """Exact-match one-hots folded into a fixed width by hashing.
+    """Exact-match one-hots folded into a fixed width by hashing: a key
+    lands in slot ``crc32(repr(key)) % width``, a padding code in none.
 
     Equal keys always collide onto the same slot; unequal keys may rarely
     collide too, which trades exactness for a width the attention pipeline
     can consume alongside the other views.
     """
-    qv = np.zeros((len(q_keys), width), dtype=np.float64)
-    dv = np.zeros((len(d_keys), width), dtype=np.float64)
-    for i, key in enumerate(q_keys):
-        qv[i, _hash_slot(key, width)] = 1.0
-    for j, key in enumerate(d_keys):
-        dv[j, _hash_slot(key, width)] = 1.0
-    return qv, dv
+    out = []
+    for codes in _codes(q_keys, d_keys):
+        hot = np.zeros(codes.shape + (width,))
+        real = codes >= 0
+        hot[real, (codes[real] >> 16) % width] = 1.0
+        out.append(hot)
+    return tuple(out)

@@ -10,15 +10,24 @@ the query terms, a linear mix (pacrr-drmm), or, for pacrr, flattening the
 rows before the head.  With extra features on, that score is then mixed
 linearly with the four extra features; ``bm25-extra`` is the mix alone.
 
-``score`` returns a scalar autodiff tensor so the training loop can
-backpropagate through it.  Its ``context`` argument, the pair's query and
-document encodings, stands in for running the encoder; it is None when a
-pair is scored alone and for models without an encoder.
-:meth:`Scorer.contexts` computes the contexts of many pairs in one
-encoder pass: training calls it once per minibatch, with gradients and
-dropout, and reranking once per candidate list, frozen.  Each model
-holds its parameters in one ParameterSet, registered in the order rows,
-head, aggregation, ``combine.*``; that order is the checkpoint layout.
+:meth:`Scorer.score_batch` is the one scoring path: it scores a batch of
+pairs in one padded pass and returns a (B,) autodiff tensor, so the
+training loop can backpropagate through it.  The rows stage returns the
+batch's rows padded to (B, longest query, width); the views, the pooling,
+the head, the gate (a softmax masked to the real query terms) and the
+extra-feature mix each run once per batch.  DRMM's histograms and PACRR's
+convolutions are computed per pair and stacked.  Every contraction is an
+einsum and every sum over a padded axis adds in index order, so a pair
+scores the same bits alone (``score``, the batch of one) and inside any
+batch.  Training scores each minibatch with it, and reranking each
+candidate list.
+
+``contexts``, one (query, document) pair of encodings per pair, stands in
+for running the encoder; :meth:`Scorer.contexts` computes them in one
+encoder pass, with gradients and dropout in training and frozen in
+reranking.  Each model holds its parameters in one ParameterSet,
+registered in the order rows, head, aggregation, ``combine.*``; that
+order is the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -27,10 +36,12 @@ import inspect
 
 import numpy as np
 
-from ..autodiff import ParameterSet, Tensor, concat, dot, gather_rows
+from ..autodiff import (ParameterSet, Tensor, add_rowvec, concat, einsum,
+                        gather_rows, pad, stack)
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError, check_type
 from .components import Mlp, glorot_uniform
+from .inputs import PairBatch, PairInput
 from .interactions import (
     attended_match_vectors,
     cosine_attention,
@@ -43,7 +54,6 @@ from .interactions import (
     softmax_idf,
     term_gate,
 )
-from .inputs import PairInput
 
 BASELINE = "bm25-extra"
 MULTIVIEW = ("context", "embedding", "exact")
@@ -53,9 +63,9 @@ GATE_MODES = ("emb+idf", "emb", "idf")
 class Scorer:
     """rows -> head -> aggregation, optionally mixed with the extra features.
 
-    ``rows_stage(model, pair, context)`` returns the rows;
-    it is None only for the baseline.  The builders below assemble one
-    scorer per registry name.
+    ``rows_stage(model, batch, contexts)`` returns a :class:`PairBatch`'s
+    rows, (B, n, width); it is None only for the baseline.  The builders
+    below assemble one scorer per registry name.
     """
 
     name = "base"
@@ -79,21 +89,24 @@ class Scorer:
     def _vectors(self, frozen: np.ndarray, rows: np.ndarray) -> Tensor:
         return Tensor(frozen) if self.emb is None else gather_rows(self.emb, rows)
 
-    def view(self, name: str, pair: PairInput, context=None):
-        """One view of the pair as (query side, document side): ``context``
-        encodings, raw ``embedding`` vectors, or ``exact``-match keys.
+    def _padded_vectors(self, batch: PairBatch, side: str) -> Tensor:
+        """One side's embedding vectors, (B, n, dim), zeros in the padding."""
+        if self.emb is None:
+            return Tensor(batch.pad(side, "emb"))
+        rows = np.concatenate([getattr(p, f"{side}_rows") for p in batch.pairs])
+        return pad(gather_rows(self.emb, rows), batch.mask(side))
 
-        ``context``, the (query, document) encodings as tensors, stands in
-        for running the encoder."""
+    def view(self, name: str, batch: PairBatch, contexts):
+        """One view of a batch as padded (query side, document side): the
+        ``context`` encodings (``contexts``, from :meth:`contexts`), raw
+        ``embedding`` vectors, or ``exact``-match key codes (-1 in the
+        padding)."""
         if name == "exact":
-            return pair.q_keys, pair.d_keys
-        if name == "context" and context is not None:
-            return context
-        q = self._vectors(pair.q_emb, pair.q_rows)
-        d = self._vectors(pair.d_emb, pair.d_rows)
-        if name == "embedding":
-            return q, d
-        return self.encoder.encode(q), self.encoder.encode(d)
+            return batch.pad("q", "codes", -1), batch.pad("d", "codes", -1)
+        if name == "context":
+            return tuple(pad(concat([c[i] for c in contexts]), batch.mask(side))
+                         for i, side in enumerate("qd"))
+        return self._padded_vectors(batch, "q"), self._padded_vectors(batch, "d")
 
     def contexts(self, pairs: list[PairInput], dropout_rng=None,
                  encoded: dict | None = None) -> list:
@@ -125,39 +138,58 @@ class Scorer:
         return [(encoded[q], encoded[d]) for q, d in zip(keys[::2], keys[1::2])]
 
     def rows(self, pair: PairInput, context=None) -> Tensor:
-        """The document-aware rows: one per query term, or max_query_terms
-        rows (padded or truncated) for the convolutional models."""
-        return self.rows_stage(self, pair, context)
+        """One pair's document-aware rows: one per query term, or
+        max_query_terms rows (padded or truncated) for the convolutional
+        models."""
+        contexts = self.contexts([pair]) if context is None else [context]
+        return self.rows_stage(self, PairBatch([pair]), contexts)[0]
 
-    def gate_inputs(self, pair: PairInput) -> Tensor:
-        """Per-q-term gate inputs: embedding, IDF, or the two side by side."""
-        idf = Tensor(pair.q_idf[:, None])
+    def gate_inputs(self, batch: PairBatch) -> Tensor:
+        """Per-q-term gate inputs, (B, n, width): embedding, IDF, or the two
+        side by side."""
+        idf = Tensor(batch.pad("q", "idf")[..., None])
         if self.gate_mode == "idf":
             return idf
-        q = self._vectors(pair.q_emb, pair.q_rows)
-        return q if self.gate_mode == "emb" else concat([q, idf], axis=1)
+        q = self._padded_vectors(batch, "q")
+        return q if self.gate_mode == "emb" else concat([q, idf], axis=-1)
 
     def score(self, pair: PairInput, context=None) -> Tensor:
+        """One pair's score, a 0-d tensor: the batch of one."""
+        return self.score_batch([pair], None if context is None else [context])[0]
+
+    def score_batch(self, pairs: list[PairInput], contexts=None) -> Tensor:
+        """The (B,) scores of a batch of pairs, in one padded pass; each has
+        the bits of its pair scored alone.  ``contexts`` (from
+        :meth:`contexts`, one per pair) stands in for running the
+        encoder."""
         p = self.params
-        if not self.extra:
-            return self._aggregate(pair, self.rows(pair, context))
-        if pair.extra is None:
+        if self.extra and any(pair.extra is None for pair in pairs):
             raise ConfigError(
                 f"model {self.name!r} needs extra features on every pair")
-        total = dot(p["combine.w_extra"], Tensor(pair.extra)) + p["combine.b"]
+        if self.rows_stage is not None:
+            batch = PairBatch(pairs)
+            if contexts is None:
+                contexts = self.contexts(pairs)
+            base = self._aggregate(batch, self.rows_stage(self, batch, contexts))
+            if not self.extra:
+                return base
+        extra = np.stack([pair.extra for pair in pairs])
+        total = add_rowvec(einsum("bf,f->b", extra, p["combine.w_extra"]),
+                           p["combine.b"])
         if self.rows_stage is None:
             return total
-        base = self._aggregate(pair, self.rows(pair, context))
-        return total + base * p["combine.w_model"]
+        return total + einsum("b,->b", base, p["combine.w_model"])
 
-    def _aggregate(self, pair: PairInput, rows: Tensor) -> Tensor:
+    def _aggregate(self, batch: PairBatch, rows: Tensor) -> Tensor:
         if self.aggregation == "flat":
-            return self.head.rows(rows.reshape(1, rows.size))[0]
+            return self.head.rows(rows.reshape(len(batch), -1))
         row_scores = self.head.rows(rows)
         if self.aggregation == "linear":
-            return dot(self.params["agg.w"], row_scores) + self.params["agg.b"]
-        gates = term_gate(self.gate_inputs(pair), self.params["gate.w"])
-        return dot(gates, row_scores)
+            return add_rowvec(einsum("bq,q->b", row_scores, self.params["agg.w"]),
+                              self.params["agg.b"])
+        gates = term_gate(self.gate_inputs(batch), self.params["gate.w"],
+                          batch.q_mask)
+        return (gates * row_scores).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +224,8 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
                max_kernel: int, filters: int, k: int):
     """Register PACRR's filters; return the rows stage and its row width.
 
-    Per query row of the zero-padded max_query_terms x max_doc_terms cosine
+    Each pair is convolved on its own and the batch's rows stacked.  Per
+    query row of the zero-padded max_query_terms x max_doc_terms cosine
     matrix: k-max of the raw cosine row (size-1 signal), then k-max of each
     conv output (sizes 2..max_kernel, relu, max over filters), then the
     softmax-normalized IDF appended after pooling.
@@ -210,7 +243,7 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
               model.params.add(f"conv{n}.b", np.zeros(filters)))
              for n in range(2, max_kernel + 1)]
 
-    def rows(model, pair, context):
+    def pair_rows(pair):
         # Looked up at call time, so a wrapper put on autodiff.conv2d (the
         # benchmark's tracer) sees every call.
         from ..autodiff import conv2d
@@ -231,6 +264,9 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
         feats.append(Tensor(softmax_idf(pair.q_idf, max_query_terms)[:, None]))
         return concat(feats, axis=1)
 
+    def rows(model, batch, contexts):
+        return stack([pair_rows(pair) for pair in batch.pairs])
+
     return rows, max_kernel * k + 1
 
 
@@ -245,10 +281,10 @@ def _drmm(dim: int, rng, buckets: int = 30, hidden=None,
     the graph: no gradient reaches the embeddings, only the head and gate."""
     edges = histogram_edges(buckets)
 
-    def rows(model, pair, context):
-        hists = np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
-                          for q_vec in pair.q_emb])
-        return Tensor(np.log1p(hists))
+    def rows(model, batch, contexts):
+        return Tensor(np.log1p(batch.pad("q", [
+            np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
+                      for q_vec in pair.q_emb]) for pair in batch.pairs])))
 
     if hidden is None:
         hidden = (buckets, buckets)
@@ -289,15 +325,15 @@ def _attention(views):
               emb_matrix=None) -> Scorer:
         width = 2 * dim
 
-        def rows(model, pair, context):
+        def rows(model, batch, contexts):
             phi = None
             for view in views:
-                q, d = model.view(view, pair, context)
+                q, d = model.view(view, batch, contexts)
                 if view == "embedding":  # duplicated to the encodings' width
-                    q, d = concat([q, q], axis=1), concat([d, d], axis=1)
+                    q, d = concat([q, q], axis=-1), concat([d, d], axis=-1)
                 elif view == "exact":  # hashed one-hots
                     q, d = (Tensor(v) for v in hashed_match_vectors(q, d, width))
-                signature = attended_match_vectors(q, d)
+                signature = attended_match_vectors(q, d, batch.d_mask)
                 phi = signature if phi is None else phi + signature
             return phi
 
@@ -317,14 +353,14 @@ def _pooled(views):
     def build(dim: int, rng, k: int = 5, gate_mode: str = "emb+idf",
               dropout: float = 0.0, trainable_embeddings: bool = False,
               emb_matrix=None) -> Scorer:
-        def rows(model, pair, context):
+        def rows(model, batch, contexts):
             feats = []
             for view in views:
-                q, d = model.view(view, pair, context)
+                q, d = model.view(view, batch, contexts)
                 sims = (Tensor(equality_matrix(q, d)) if view == "exact"
                         else cosine_attention(q, d))
-                feats.append(max_kmax_pool(sims, k))
-            return feats[0] if len(feats) == 1 else concat(feats, axis=1)
+                feats.append(max_kmax_pool(sims, k, batch.d_mask[:, None, :]))
+            return feats[0] if len(feats) == 1 else concat(feats, axis=-1)
 
         model = _encoder_scorer(rows, dim, rng, dropout, trainable_embeddings,
                                 emb_matrix)

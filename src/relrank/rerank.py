@@ -1,15 +1,16 @@
 """Pair assembly and candidate re-scoring.
 
 ``PairBuilder`` turns (query_id, doc_id) into the model input bundle,
-attaching the per-query extra features when asked.  ``rerank_candidates``
-scores whole candidate lists with frozen parameters.  For a model with the
-context encoder, each list's query and every document not encoded earlier
-in the call go through the encoder together, in one padded pass
-(``Scorer.contexts``, the path training's minibatches take too); a
-document shared by many queries is encoded once per call, and each query
-once per list.  The pass gives every sequence the bits of encoding it
-alone, so each score equals ``model.score(pair)`` bit for bit.  Scoring
-after the encoder stays per pair.
+attaching the per-query extra features when asked, and codes every
+exact-match key once for all its pairs.  ``rerank_candidates`` scores
+whole candidate lists with frozen parameters, one padded pass per list
+(``Scorer.score_batch``, the path training's minibatches take too).  For
+a model with the context encoder, each list's query and every document
+not encoded earlier in the call go through the encoder together
+(``Scorer.contexts``); a document shared by many queries is encoded once
+per call, and each query once per list.  Both passes give every pair the
+bits of scoring it alone, so each score equals ``model.score(pair)`` bit
+for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from .autodiff import no_grad
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .models import ExtraFeatureBuilder, PairInput, Scorer, build_pair_input
+from .models import (ExtraFeatureBuilder, KeyCodes, PairBatch, PairInput, Scorer,
+                     build_pair_input)
 from .models.interactions import cosine_attention, equality_matrix
 from .text import IdfTable, ProcessedDocument, ProcessedQuery
 from .trec import RankedList, ranked_list_from_scores
@@ -41,6 +43,7 @@ class PairBuilder:
         self.with_extra = with_extra
         self._extra: dict[str, ExtraFeatureBuilder] = {}
         self._pairs: dict[tuple[str, str], PairInput] = {}
+        self._key_codes = KeyCodes()
 
     def query(self, query_id: str) -> ProcessedQuery:
         try:
@@ -70,8 +73,8 @@ class PairBuilder:
             extra = None
             if self.with_extra:
                 extra = self._extra_builder(query_id).feature_array(query, doc)
-            self._pairs[key] = build_pair_input(query, doc, self.emb,
-                                                self.idf, extra)
+            self._pairs[key] = build_pair_input(query, doc, self.emb, self.idf,
+                                                extra, self._key_codes)
         return self._pairs[key]
 
 
@@ -88,10 +91,10 @@ def rerank_candidates(model: Scorer, builder: PairBuilder,
         for query_id in sorted(candidates):
             pairs = [builder.pair(query_id, doc_id)
                      for doc_id in candidates[query_id].doc_ids()]
-            contexts = model.contexts(pairs, encoded=encoded)
-            scored = [(pair.doc_id, float(model.score(pair, context).data))
-                      for pair, context in zip(pairs, contexts)]
-            runs.append(ranked_list_from_scores(query_id, scored))
+            scores = model.score_batch(
+                pairs, model.contexts(pairs, encoded=encoded)).data
+            runs.append(ranked_list_from_scores(query_id, [
+                (pair.doc_id, float(score)) for pair, score in zip(pairs, scores)]))
     return runs
 
 
@@ -112,11 +115,14 @@ def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,
     doc = builder.document(doc_id)
     truncated = ProcessedDocument(doc.doc_id, doc.terms[:doc_budget], doc.date)
     pair = build_pair_input(query, truncated, builder.emb, builder.idf)
+    batch = PairBatch([pair])
     with no_grad():
-        context_view = cosine_attention(*model.view("context", pair)).data
-        embedding_view = cosine_attention(*model.view("embedding", pair)).data
-        exact_view = equality_matrix(*model.view("exact", pair))
-        encodings = model.rows(pair).data
+        contexts = model.contexts([pair])
+        context_view = cosine_attention(*model.view("context", batch, contexts)).data[0]
+        embedding_view = cosine_attention(
+            *model.view("embedding", batch, contexts)).data[0]
+        exact_view = equality_matrix(*model.view("exact", batch, contexts))[0]
+        encodings = model.rows(pair, contexts[0]).data
     return {
         "query_id": query_id,
         "doc_id": doc_id,

@@ -5,7 +5,9 @@ list, shuffles the instances, and applies bias-corrected Adam per batch.
 A batch gathers its pairs (positive, then negative, per instance), gets
 their context encodings in one call (``Scorer.contexts``: each distinct
 query and document encoded once, in one padded pass with
-backpropagation through time over the whole block), then scores them.
+backpropagation through time over the whole block), then scores them all
+in one padded pass (``Scorer.score_batch``) and sums the hinge losses of
+the positive and negative slices in instance order.
 The checkpoint with the best dev MAP is kept; a fixed seed makes the whole
 run, including the JSON-lines log, bitwise reproducible (wall-clock timing
 goes to the logger, never into the log records).
@@ -98,7 +100,8 @@ def sample_instances(qrels: Qrels, candidates: dict[str, RankedList],
 
 
 def pairwise_loss(s_pos: Tensor, s_neg: Tensor, margin: float = 1.0) -> Tensor:
-    """Hinge on the score difference; the kink subgradient is the zero branch."""
+    """Hinge on the score difference, elementwise for score vectors; the kink
+    subgradient is the zero branch."""
     return (s_neg - s_pos + margin).relu()
 
 
@@ -192,16 +195,12 @@ def dev_map(model, data: TrainData) -> float:
 def _batch_loss(model, builder: PairBuilder, batch: list[TrainingInstance],
                 rng: np.random.Generator, margin: float) -> Tensor:
     """The summed hinge loss of a batch: its pairs, positive then negative
-    per instance, get their context encodings in one call, then scores."""
+    per instance, get their context encodings in one call and their scores
+    in one pass."""
     pairs = [builder.pair(inst.query_id, doc_id) for inst in batch
              for doc_id in (inst.positive, inst.negative)]
-    contexts = model.contexts(pairs, dropout_rng=rng)
-    total = None
-    for i in range(0, len(pairs), 2):
-        loss = pairwise_loss(model.score(pairs[i], contexts[i]),
-                             model.score(pairs[i + 1], contexts[i + 1]), margin)
-        total = loss if total is None else total + loss
-    return total
+    scores = model.score_batch(pairs, model.contexts(pairs, dropout_rng=rng))
+    return pairwise_loss(scores[0::2], scores[1::2], margin).sum()
 
 
 def train(model, data: TrainData, config: TrainConfig) -> TrainResult:

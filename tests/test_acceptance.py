@@ -310,12 +310,13 @@ class TestAnchoredValues:
             qc = rng.standard_normal((n, dim))
             dc = rng.standard_normal((m, dim))
             phi = attended_match_vectors(Tensor(qc), Tensor(dc)).data
-            # Contiguous transpose: a transposed view takes a different BLAS
-            # path and costs the low bit, which a bitwise check would see.
-            logits = qc @ dc.T.copy()
+            # The model's contractions (numpy's einsum loop, not BLAS): a
+            # different summation order costs the low bit, which a bitwise
+            # check would see.
+            logits = np.einsum("qw,dw->qd", qc, dc)
             w = np.exp(logits - logits.max(axis=1, keepdims=True))
             w /= w.sum(axis=1, keepdims=True)
-            att = w @ dc
+            att = np.einsum("qd,dw->qw", w, dc)
             att_n = att / np.linalg.norm(att, axis=1, keepdims=True)
             q_n = qc / np.linalg.norm(qc, axis=1, keepdims=True)
             for i in range(n):

@@ -301,6 +301,158 @@ class TestShaping:
             Tensor(np.zeros(3)).transpose()
 
 
+def weighted_sum(t, rng):
+    """A scalar that reads every entry of ``t`` with its own weight."""
+    return (t * rng.normal(size=t.shape)).sum()
+
+
+class TestPaddedBatchOps:
+    """The ops of the padded scoring pass: finite differences, masks, and
+    bits that do not depend on the batch or on trailing padding."""
+
+    @pytest.mark.parametrize("spec,shapes", [
+        ("bqw,bdw->bqd", [(2, 3, 4), (2, 5, 4)]),
+        ("bqd,bdw->bqw", [(2, 3, 5), (2, 5, 4)]),
+        ("...qw,...dw->...qd", [(3, 4), (5, 4)]),
+        ("...f,f->...", [(2, 3, 4), (4,)]),
+        ("ni,io->no", [(6, 4), (4, 3)]),
+        ("b,->b", [(5,), ()]),
+    ])
+    def test_einsum_matches_finite_differences(self, spec, shapes):
+        rng = np.random.default_rng(30)
+        rep = grad_check(lambda *ts: weighted_sum(ad.einsum(spec, *ts),
+                                                  np.random.default_rng(31)),
+                         [rng.normal(size=s) for s in shapes])
+        assert rep.passed, rep
+
+    def test_einsum_array_operands_are_constants(self):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(4, 3))
+        w = Tensor(rng.normal(size=3))
+        y = ad.einsum("bf,f->b", x, w)
+        assert y.parents == (w,)
+        y.sum().backward()
+        np.testing.assert_allclose(w.grad, x.sum(axis=0), rtol=1e-12)
+
+    def test_einsum_without_a_rule_rejected(self):
+        with pytest.raises(ValueError, match="no gradient rule"):
+            ad.einsum("ij->i", Tensor(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="no gradient rule"):
+            ad.einsum("ii->i", Tensor(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("spec,a,b", [
+        ("bqw,bdw->bqd", (3, 6), (9, 6)),
+        ("bqd,bdw->bqw", (3, 9), (9, 6)),
+        ("...f,f->...", (3, 7), (7,)),
+    ])
+    def test_einsum_row_bits_do_not_depend_on_the_batch(self, spec, a, b):
+        # Each row alone against the same row inside a batch of 5, where the
+        # other rows are padded further (zeros after the real entries).
+        rng = np.random.default_rng(33)
+        batch = [rng.normal(size=(5,) + a), rng.normal(size=(5,) + b)]
+        if spec == "bqd,bdw->bqw":  # weights of padded terms are 0
+            batch[0][1:, :, 5:] = 0.0
+            batch[1][1:, 5:] = 0.0
+        if spec == "...f,f->...":
+            batch[1] = batch[1][0]
+        together = ad.einsum(spec, *map(Tensor, batch)).data
+        for i in range(5):
+            alone = [batch[0][i:i + 1], batch[1] if batch[1].ndim == 1
+                     else batch[1][i:i + 1]]
+            if spec == "bqd,bdw->bqw" and i > 0:  # the row's real length alone
+                alone = [alone[0][..., :5], alone[1][:, :5]]
+            got = ad.einsum(spec, *map(Tensor, alone)).data[0]
+            np.testing.assert_array_equal(together[i], got)
+
+    def test_sum_adds_in_order_so_trailing_zeros_keep_its_bits(self):
+        rng = np.random.default_rng(34)
+        hits = 0
+        for n in (7, 9, 100, 127, 128, 129, 200):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+            padded = np.concatenate([x, np.zeros(77)])
+            in_order = 0.0
+            for v in x:
+                in_order += v
+            assert Tensor(x).sum().data == in_order
+            assert Tensor(padded).sum().data == in_order
+            hits += np.sum(padded) != np.sum(x)  # numpy's own sum moves
+        assert hits > 0
+
+    def test_masked_softmax(self):
+        rng = np.random.default_rng(35)
+        x = rng.normal(size=(2, 3, 6))
+        mask = np.arange(6)[None, None, :] < np.array([4, 2])[:, None, None]
+        big = x.copy()
+        big[~np.broadcast_to(mask, x.shape)] = 1e6  # padding would win
+        t = Tensor(big)
+        y = t.softmax(mask=mask)
+        for b, n in enumerate((4, 2)):
+            np.testing.assert_array_equal(y.data[b, :, :n],
+                                          Tensor(x[b, :, :n]).softmax().data)
+            np.testing.assert_array_equal(y.data[b, :, n:], 0.0)
+        weighted_sum(y, rng).backward()
+        np.testing.assert_array_equal(t.grad[~np.broadcast_to(mask, x.shape)], 0.0)
+        rep = grad_check(lambda z: weighted_sum(z.softmax(mask=mask),
+                                                np.random.default_rng(36)), [x])
+        assert rep.passed, rep
+        with pytest.raises(ValueError, match="no unmasked cell"):
+            Tensor(x).softmax(mask=np.zeros((2, 3, 6), dtype=bool))
+
+    def test_masked_kmax(self):
+        rng = np.random.default_rng(37)
+        x = rng.choice([-1.0, -0.5, 0.25], size=(2, 3, 7))  # ties
+        lengths = np.array([5, 2])
+        mask = (np.arange(7) < lengths[:, None])[:, None, :]
+        x[~np.broadcast_to(mask, x.shape)] = 9.0  # padding would win
+        t = Tensor(x)
+        top = t.kmax(4, mask)
+        for b, n in enumerate(lengths):
+            want = Tensor(x[b, :, :n]).kmax(min(4, n)).data
+            np.testing.assert_array_equal(top.data[b, :, :len(want[0])], want)
+            np.testing.assert_array_equal(top.data[b, :, n:], 0.0)
+        weighted_sum(top, rng).backward()
+        np.testing.assert_array_equal(t.grad[~np.broadcast_to(mask, x.shape)], 0.0)
+        smooth = rng.normal(size=(2, 3, 7))
+        rep = grad_check(lambda z: weighted_sum(z.kmax(4, mask),
+                                                np.random.default_rng(38)),
+                         [smooth])
+        assert rep.passed, rep
+
+    def test_l2_normalize_rows_of_an_nd_tensor(self):
+        rng = np.random.default_rng(39)
+        x = rng.normal(size=(2, 3, 4))
+        x[1, 2] = 0.0
+        y = ad.l2_normalize_rows(Tensor(x)).data
+        for i in range(2):
+            np.testing.assert_array_equal(y[i], ad.l2_normalize_rows(Tensor(x[i])).data)
+        smooth = rng.normal(size=(2, 3, 4))
+        rep = grad_check(lambda z: weighted_sum(ad.l2_normalize_rows(z),
+                                                np.random.default_rng(40)),
+                         [smooth])
+        assert rep.passed, rep
+
+    def test_pad_spreads_rows_over_the_mask(self):
+        rng = np.random.default_rng(41)
+        mask = np.array([[True, True, False], [True, False, False]])
+        rows = rng.normal(size=(3, 2))
+        y = ad.pad(Tensor(rows), mask)
+        np.testing.assert_array_equal(y.data[0, :2], rows[:2])
+        np.testing.assert_array_equal(y.data[1, 0], rows[2])
+        np.testing.assert_array_equal(y.data[~mask], 0.0)
+        rep = grad_check(lambda z: weighted_sum(ad.pad(z, mask),
+                                                np.random.default_rng(42)), [rows])
+        assert rep.passed, rep
+
+    def test_add_rowvec_of_a_scalar(self):
+        rng = np.random.default_rng(43)
+        rep = grad_check(lambda m, v: weighted_sum(ad.add_rowvec(m, v),
+                                                   np.random.default_rng(44)),
+                         [rng.normal(size=(2, 3)), rng.normal(size=())])
+        assert rep.passed, rep
+        with pytest.raises(ValueError):
+            ad.add_rowvec(Tensor(np.ones((2, 3))), Tensor(np.ones(2)))
+
+
 class TestRandomGraphs:
     def test_random_five_op_graphs_match_finite_differences(self):
         # Chains of mixed ops, checked against central differences.
@@ -314,7 +466,7 @@ class TestRandomGraphs:
                 h = ad.l2_normalize_rows((Wt @ vt).reshape(1, 4)).reshape(4)
                 s = h.softmax()
                 z = ad.l2_normalize_rows((s * ut).reshape(1, 4)).reshape(4)
-                return ad.dot(z, h.relu()) + z.mean()
+                return ad.einsum("i,i->", z, h.relu()) + z.mean()
 
             rep = grad_check(f, [W, v, u])
             assert rep.passed, f"trial {trial}: {rep}"
@@ -351,7 +503,7 @@ class TestGradCheckInPlace:
         original = w.data
         before = original.copy()
         x = Tensor(np.array([0.3, -0.7]))
-        rep = grad_check(lambda *_: ad.dot((w @ x).softmax(), x), [w, x])
+        rep = grad_check(lambda *_: ad.einsum("i,i->", (w @ x).softmax(), x), [w, x])
         assert rep.passed, rep
         assert w.data is original
         np.testing.assert_array_equal(w.data, before)

@@ -5,7 +5,7 @@ import pytest
 
 from relrank.autodiff import Tensor, grad_check, stack
 from relrank.errors import ConfigError
-from relrank.models import PairInput, build_model
+from relrank.models import PairBatch, PairInput, build_model
 from relrank.models.interactions import (
     attended_match_vectors,
     cosine_attention,
@@ -131,7 +131,7 @@ class TestTermGate:
         def gate_inputs(mode):
             model = build_model("drmm", 3, np.random.default_rng(0),
                                 gate_mode=mode)
-            return model.gate_inputs(pair).data
+            return model.gate_inputs(PairBatch([pair])).data[0]
 
         np.testing.assert_array_equal(gate_inputs("emb+idf"),
                                       [[0, 1, 2, 0.5], [3, 4, 5, 1.5]])

@@ -6,12 +6,13 @@ A function or class counts as referred to when a name resolves to it through
 src's own imports: its bare name in its own module, a name bound by
 ``from .m import f`` (followed through package re-exports such as
 ``models/__init__.py``), or ``m.f`` where ``m`` names a src module.  A method
-is matched by name only: it counts when its name appears as an
-``ast.Attribute`` (``obj.method``) anywhere in src, so a local variable that
-happens to share a method's name does not keep the method alive, but any
-``obj.method`` does.  A reference made from inside an oracle's definition
-does not count: what only an oracle uses belongs in the oracle.  An entry
-point's references count, because code outside src runs it.
+is matched by name only: it counts when src calls ``obj.method(...)``, and a
+property when src reads ``obj.prop``.  So a local variable that shares a
+method's name does not keep the method alive, nor does a read of a field
+that shares it (``c.score`` of a ``Candidate``), but any call
+``obj.method(...)`` does.  A reference made from inside an oracle's
+definition does not count: what only an oracle uses belongs in the oracle.
+An entry point's references count, because code outside src runs it.
 """
 
 import ast
@@ -33,6 +34,7 @@ ORACLES = {
         "writes the binary word2vec format read_word2vec_binary reads",
 }
 ENTRY_POINTS = {
+    "models.scorers.Scorer.score": "perfbench/checks.py rescoring check",
     "synthetic.generate_world":
         "builds the synthetic world (README, perfbench)",
     "synthetic.write_world":
@@ -53,8 +55,9 @@ def _outside_oracles(node, qualname):
         yield from _outside_oracles(child, name)
 
 
-def _parse():
-    """Module name (``models.scorers``; a package by its own name) -> tree."""
+def _parse(planted=None):
+    """Module name (``models.scorers``; a package by its own name) -> tree,
+    plus the ``planted`` modules (name -> source) a test adds."""
     trees = {}
     for path in sorted(SRC.rglob("*.py")):
         parts = path.relative_to(SRC).with_suffix("").parts
@@ -62,6 +65,8 @@ def _parse():
             parts = parts[:-1]
         trees[".".join(parts)] = (ast.parse(path.read_text(encoding="utf-8")),
                                   path.name == "__init__.py")
+    for module, source in (planted or {}).items():
+        trees[module] = (ast.parse(source), False)
     return trees
 
 
@@ -86,21 +91,22 @@ def _bindings(trees):
     return bound
 
 
-def _scan():
-    """(qualified name, is_method) per definition, plus the definitions
-    src's names resolve to and the attribute names src uses, both outside
-    the oracles."""
-    trees = _parse()
+def _scan(planted=None):
+    """(qualified name, kind) per definition, the kind None for a function
+    or class, True for a property and False for another method; then the
+    definitions src's names resolve to, the attribute names src calls and
+    those it reads, all outside the oracles."""
+    trees = _parse(planted)
     bound = _bindings(trees)
     defs, top = [], set()
     for module, (tree, _) in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs.append((f"{module}.{node.name}", False))
+            defs.append((f"{module}.{node.name}", None))
             top.add(f"{module}.{node.name}")
             if isinstance(node, ast.ClassDef):
-                defs.extend((f"{module}.{node.name}.{m.name}", True)
+                defs.extend((f"{module}.{node.name}.{m.name}", _is_property(m))
                             for m in node.body
                             if isinstance(m, ast.FunctionDef)
                             and not (m.name.startswith("__") and m.name.endswith("__")))
@@ -114,25 +120,34 @@ def _scan():
             module, name = target
         return f"{module}.{name}"
 
-    referenced, attrs = set(), set()
+    referenced, called, read = set(), set(), set()
     for module, (tree, _) in trees.items():
         for n in _outside_oracles(tree, module):
             if isinstance(n, ast.Name):
                 referenced.add(resolve(module, n.id))
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
+                called.add(n.func.attr)
             elif isinstance(n, ast.Attribute):
-                attrs.add(n.attr)
+                read.add(n.attr)
                 if isinstance(n.value, ast.Name):
                     kind, target = bound[module].get(n.value.id, (None, None))
                     if kind == "module":
                         referenced.add(resolve(target, n.attr))
-    return defs, referenced, attrs
+    return defs, referenced, called, read
 
 
-def _unreferenced():
-    defs, referenced, attrs = _scan()
-    return [qualname for qualname, is_method in defs
-            if (qualname.rsplit(".", 1)[1] not in attrs if is_method
-                else qualname not in referenced)]
+def _is_property(method) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               or isinstance(d, ast.Attribute) and d.attr == "setter"
+               for d in method.decorator_list)
+
+
+def _unreferenced(planted=None):
+    defs, referenced, called, read = _scan(planted)
+    uses = {False: called, True: read}
+    return [qualname for qualname, kind in defs
+            if (qualname not in referenced if kind is None
+                else qualname.rsplit(".", 1)[1] not in uses[kind])]
 
 
 def test_every_src_name_has_a_src_reference():
@@ -143,3 +158,20 @@ def test_every_src_name_has_a_src_reference():
 def test_allowlist_names_only_unreferenced_definitions():
     # An entry whose name gained a src caller, or was deleted, goes.
     assert sorted(_unreferenced()) == sorted(ALLOWED)
+
+
+def test_a_field_read_keeps_no_method_of_its_name_alive():
+    # ``c.score`` and ``cand.score`` read the ``score`` field of a
+    # ``Candidate``; under a rule that matched any ``obj.score`` they would
+    # keep this unused method alive.
+    reads = {module for module, (tree, _) in _parse().items()
+             for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "score"
+             and isinstance(n.ctx, ast.Load)}
+    assert {"models.features", "trec"} <= reads
+    planted = {"planted": "class Planted:\n"
+                          "    def score(self):\n"
+                          "        return 0.0\n"}
+    assert "planted.Planted.score" in _unreferenced(planted)
+    called = {"planted": planted["planted"] + "\n\nPlanted().score()\n"}
+    assert "planted.Planted.score" not in _unreferenced(called)

@@ -1,13 +1,17 @@
 """Tests for pair assembly, candidate re-scoring, and interaction export."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from relrank.autodiff import Tensor, no_grad
 from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
-from relrank.models import build_model, build_pair_input
-from relrank.models.interactions import cosine_attention
+from relrank.embeddings import OOV_ID
+from relrank.models import KeyCodes, build_model, build_pair_input, inputs
+from relrank.models.interactions import (cosine_attention, equality_matrix,
+                                         hashed_match_vectors)
 from relrank.rerank import PairBuilder, inspect_interactions, rerank_candidates
 from relrank.text import ProcessedDocument, ProcessedQuery
 from relrank.trec import ranked_list_from_scores
@@ -54,6 +58,67 @@ class TestPairBuilder:
         builder.queries["stray"] = builder.queries["q0"]
         with pytest.raises(DataError, match="candidate list"):
             builder.pair("stray", "neg0")
+
+
+class TestKeyCodes:
+    """A builder codes each exact-match key once; the hashed one-hots fold
+    a key into slot crc32(repr(key)) % width."""
+
+    def test_slots_are_the_keys_crc_modulo_the_width(self):
+        q = ProcessedQuery("q", [3, OOV_ID, 5], ["c", "zzz", "e"])
+        d = ProcessedDocument("d", [5, 3, 9])
+        data = world()
+        builder = PairBuilder([q], [d], {}, data.builder.emb, data.builder.idf)
+        pair = builder.pair("q", "d")
+        assert pair.q_keys == [("id", 3), ("oov", "zzz"), ("id", 5)]
+        for width in (6, 16, 97):
+            qv, dv = hashed_match_vectors(pair.q_codes, pair.d_codes, width)
+            for keys, hot in ((pair.q_keys, qv), (pair.d_keys, dv)):
+                want = [zlib.crc32(repr(key).encode("utf-8")) % width
+                        for key in keys]
+                assert hot.argmax(axis=1).tolist() == want
+                np.testing.assert_array_equal(hot.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(
+            equality_matrix(pair.q_codes, pair.d_codes),
+            [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
+
+    def test_each_distinct_key_is_hashed_once_per_builder(self, monkeypatch):
+        hashed = []
+        original = zlib.crc32
+
+        def counted(data, *args):
+            hashed.append(data)
+            return original(data, *args)
+
+        monkeypatch.setattr(inputs.zlib, "crc32", counted)
+        data = world()
+        builder = data.builder
+        distinct = set()
+        for qid, ranked in sorted(builder.candidates.items()):
+            for did in ranked.doc_ids():
+                pair = builder.pair(qid, did)
+                distinct |= set(pair.q_keys) | set(pair.d_keys)
+        assert len(hashed) == len(distinct)
+        assert sorted(hashed) == sorted(repr(k).encode("utf-8") for k in distinct)
+        fresh = PairBuilder(builder.queries.values(), builder.documents.values(),
+                            builder.candidates, builder.emb, builder.idf)
+        qid = sorted(builder.candidates)[0]
+        fresh.pair(qid, builder.candidates[qid].doc_ids()[0])
+        assert len(hashed) > len(distinct)  # its own table, hashed again
+
+    def test_colliding_keys_keep_distinct_codes(self):
+        # Two unseen tokens whose keys share a CRC-32: they still never
+        # match, and they fold into the same one-hot slot.
+        a, b = ("oov", "olbfmjqn"), ("oov", "fomlonrv")
+        crc = zlib.crc32(repr(a).encode("utf-8"))
+        assert zlib.crc32(repr(b).encode("utf-8")) == crc
+        table = KeyCodes()
+        codes = table.codes([a, b, a])
+        assert codes.tolist() == [crc << 16, crc << 16 | 1, crc << 16]
+        np.testing.assert_array_equal(equality_matrix(codes, codes),
+                                      [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+        qv, _ = hashed_match_vectors(codes, codes, 50)
+        assert (qv.argmax(axis=1) == crc % 50).all()
 
 
 class TestRerankCandidates:

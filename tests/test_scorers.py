@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from relrank import autodiff
-from relrank.autodiff import Tensor, concat, conv2d, load_params, save_params
+from relrank.autodiff import (Tensor, concat, conv2d, load_params, save_params,
+                              stack)
 from relrank.embeddings import EmbeddingMatrix
 from relrank.errors import ConfigError
 from relrank.models import (BASELINE, PairInput, Scorer, build_model,
@@ -373,8 +374,8 @@ class TestTrimmedConvRows:
     def assert_same(self, model, pair, max_q, max_d, max_kernel, k):
         score, grads = score_and_grads(model, pair)
         bias_terms = {}
-        model.rows_stage = lambda m, p, context: padded_conv_rows(
-            m, p, max_q, max_d, max_kernel, k, bias_terms)
+        model.rows_stage = lambda m, batch, contexts: stack([padded_conv_rows(
+            m, p, max_q, max_d, max_kernel, k, bias_terms) for p in batch.pairs])
         expect, expect_grads = score_and_grads(model, pair)
         np.testing.assert_array_equal(score, expect)
         for name, grad in grads.items():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from relrank import training
-from relrank.autodiff import ParameterSet, Tensor
+from relrank.autodiff import ParameterSet, Tensor, stack
 from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
 from relrank.models import Scorer, build_model
@@ -239,7 +239,14 @@ class TestTrainConfig:
         assert TrainConfig(**dataclasses.asdict(config)) == config
 
 
-class CountingScorer(Scorer):
+class PerPairScorer(Scorer):
+    """Test-double base: a batch's scores are its pairs' ``score``s."""
+
+    def score_batch(self, pairs, contexts=None):
+        return stack([self.score(pair) for pair in pairs])
+
+
+class CountingScorer(PerPairScorer):
     """Test double: linear in the exact-overlap feature, with a call counter
     and an optional poison threshold that turns later scores into NaN."""
 
@@ -258,7 +265,7 @@ class CountingScorer(Scorer):
         return self.w * float(pair.extra[1])
 
 
-class FrozenScorer(Scorer):
+class FrozenScorer(PerPairScorer):
     """Test double whose score is constant no matter what the weight does."""
 
     name = "frozen"
@@ -271,7 +278,7 @@ class FrozenScorer(Scorer):
         return self.w * 0.0
 
 
-class OverflowScorer(Scorer):
+class OverflowScorer(PerPairScorer):
     """Test double whose score stays 0 while its gradient overflows to inf,
     which clipping turns into NaN, so Adam rejects every step."""
 
@@ -433,9 +440,9 @@ class TestGraphLifetime:
         try:
             gc.collect()
             model.params.zero_grad()
-            pos_ctx, neg_ctx = model.contexts([pos, neg], dropout_rng=rng)
-            loss = pairwise_loss(model.score(pos, pos_ctx),
-                                 model.score(neg, neg_ctx), 1.0)
+            scores = model.score_batch(
+                [pos, neg], model.contexts([pos, neg], dropout_rng=rng))
+            loss = pairwise_loss(scores[0::2], scores[1::2], 1.0).sum()
             loss.backward()
             assert adam_step(model.params, adam)
             del loss
