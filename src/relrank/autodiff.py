@@ -435,13 +435,15 @@ def einsum(spec: str, *operands) -> Tensor:
                   tuple(operands[i] for i in grads_for), "einsum", rule)
 
 
-def pad(t: Tensor, mask: np.ndarray) -> Tensor:
-    """Spread the rows of ``t`` over the True cells of the boolean ``mask``
-    in row-major order, zeros elsewhere: (N, ...) rows and a mask with N
-    True cells give ``mask.shape + t.shape[1:]``."""
-    out = np.zeros(mask.shape + t.shape[1:])
-    out[mask] = t.data
-    return Tensor(out, (t,), "pad", lambda g: (g[mask],))
+def pad(tensors, length: int) -> Tensor:
+    """Stack B tensors of shapes (n_b, ...) into one (B, length, ...),
+    zeros past each tensor's n_b rows."""
+    tensors = tuple(tensors)
+    out = np.zeros((len(tensors), length) + tensors[0].shape[1:])
+    for row, t in zip(out, tensors):
+        row[:len(t.data)] = t.data
+    return Tensor(out, tensors, "pad",
+                  lambda g: [row[:len(t.data)] for row, t in zip(g, tensors)])
 
 
 def l2_normalize_rows(t: Tensor) -> Tensor:

@@ -34,7 +34,8 @@ class KeyCodes(dict):
         return code
 
     def codes(self, keys) -> np.ndarray:
-        return np.array([self[key] for key in keys], dtype=np.int64)
+        return np.fromiter(map(self.__getitem__, keys), dtype=np.int64,
+                           count=len(keys))
 
 
 @dataclass

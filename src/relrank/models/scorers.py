@@ -93,8 +93,8 @@ class Scorer:
         """One side's embedding vectors, (B, n, dim), zeros in the padding."""
         if self.emb is None:
             return Tensor(batch.pad(side, "emb"))
-        rows = np.concatenate([getattr(p, f"{side}_rows") for p in batch.pairs])
-        return pad(gather_rows(self.emb, rows), batch.mask(side))
+        return pad([gather_rows(self.emb, getattr(p, f"{side}_rows"))
+                    for p in batch.pairs], batch.mask(side).shape[1])
 
     def view(self, name: str, batch: PairBatch, contexts):
         """One view of a batch as padded (query side, document side): the
@@ -104,7 +104,7 @@ class Scorer:
         if name == "exact":
             return batch.pad("q", "codes", -1), batch.pad("d", "codes", -1)
         if name == "context":
-            return tuple(pad(concat([c[i] for c in contexts]), batch.mask(side))
+            return tuple(pad([c[i] for c in contexts], batch.mask(side).shape[1])
                          for i, side in enumerate("qd"))
         return self._padded_vectors(batch, "q"), self._padded_vectors(batch, "d")
 

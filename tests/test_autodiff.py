@@ -431,16 +431,18 @@ class TestPaddedBatchOps:
                          [smooth])
         assert rep.passed, rep
 
-    def test_pad_spreads_rows_over_the_mask(self):
+    def test_pad_stacks_rows_with_zeros_after_each(self):
         rng = np.random.default_rng(41)
-        mask = np.array([[True, True, False], [True, False, False]])
-        rows = rng.normal(size=(3, 2))
-        y = ad.pad(Tensor(rows), mask)
-        np.testing.assert_array_equal(y.data[0, :2], rows[:2])
-        np.testing.assert_array_equal(y.data[1, 0], rows[2])
-        np.testing.assert_array_equal(y.data[~mask], 0.0)
-        rep = grad_check(lambda z: weighted_sum(ad.pad(z, mask),
-                                                np.random.default_rng(42)), [rows])
+        a, b = rng.normal(size=(2, 2)), rng.normal(size=(1, 2))
+        y = ad.pad([Tensor(a), Tensor(b)], 3)
+        np.testing.assert_array_equal(y.data[0, :2], a)
+        np.testing.assert_array_equal(y.data[1, :1], b)
+        np.testing.assert_array_equal(y.data[0, 2:], 0.0)
+        np.testing.assert_array_equal(y.data[1, 1:], 0.0)
+        # One tensor in two rows gets the gradient of both.
+        rep = grad_check(lambda s, t: weighted_sum(ad.pad([s, t, s], 3),
+                                                   np.random.default_rng(42)),
+                         [a, b])
         assert rep.passed, rep
 
     def test_add_rowvec_of_a_scalar(self):
