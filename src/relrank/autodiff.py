@@ -243,21 +243,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            raise TypeError("matmul requires a Tensor operand")
-        a, b = self.data, other.data
-
-        def rule(g):
-            if a.ndim == 2 and b.ndim == 2:
-                return g @ b.T, a.T @ g
-            if a.ndim == 2:
-                return np.outer(g, b), a.T @ g
-            if b.ndim == 2:
-                return b @ g, np.outer(a, g)
-            return g * b, g * a  # 1-D @ 1-D
-        return Tensor(a @ b, (self, other), "matmul", rule)
-
     # -- indexing / shaping --------------------------------------------------
 
     def __getitem__(self, key):
@@ -269,16 +254,6 @@ class Tensor:
         return Tensor(self.data.reshape(shape), (self,), "reshape",
                       lambda g: (g.reshape(old),))
 
-    def transpose(self):
-        if self.ndim != 2:
-            raise ValueError(f"transpose expects a 2-D tensor, got {self.shape}")
-        return Tensor(self.data.T.copy(), (self,), "transpose",
-                      lambda g: (g.T.copy(),))
-
-    @property
-    def T(self):
-        return self.transpose()
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None):
@@ -288,14 +263,10 @@ class Tensor:
         def rule(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            # A copy, not the zero-stride view: matmul rounds differently
-            # on a zero-stride operand.
+            # A copy, not the zero-stride view: a contraction picks another
+            # loop, and rounds differently, for a zero-stride operand.
             return (np.broadcast_to(g, shape).copy(),)
         return Tensor(_ordered_sum(self.data, axis), (self,), "sum", rule)
-
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
 
     def max(self, axis):
         """Maximum along ``axis``; first-max wins ties."""

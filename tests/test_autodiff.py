@@ -36,18 +36,18 @@ class TestBasicOps:
         with pytest.raises(ValueError):
             Tensor(np.zeros(3)).backward()
 
-    def test_matmul_all_rank_combos(self):
+    def test_einsum_all_rank_combos(self):
         rng = np.random.default_rng(0)
         A, B = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
         v, w = rng.normal(size=4), rng.normal(size=3)
 
-        rep = grad_check(lambda a, b: (a @ b).sum(), [A, B])
+        rep = grad_check(lambda a, b: ad.einsum("ij,jk->ik", a, b).sum(), [A, B])
         assert rep.passed, rep
-        rep = grad_check(lambda a, b: (a @ b).sum(), [A, v])
+        rep = grad_check(lambda a, b: ad.einsum("ij,j->i", a, b).sum(), [A, v])
         assert rep.passed, rep
-        rep = grad_check(lambda a, b: (a @ b).sum(), [w, A])
+        rep = grad_check(lambda a, b: ad.einsum("i,ij->j", a, b).sum(), [w, A])
         assert rep.passed, rep
-        rep = grad_check(lambda a, b: a @ b, [v, v + 1.0])
+        rep = grad_check(lambda a, b: ad.einsum("i,i->", a, b), [v, v + 1.0])
         assert rep.passed, rep
 
     def test_grad_accumulates_until_cleared(self):
@@ -165,7 +165,8 @@ class TestNormalization:
         # gradient reaches the other side through it.
         a = Tensor(np.zeros((1, 3)))
         b = Tensor(np.ones((1, 3)))
-        c = (ad.l2_normalize_rows(a) @ ad.l2_normalize_rows(b).T).sum()
+        c = ad.einsum("iw,jw->ij", ad.l2_normalize_rows(a),
+                      ad.l2_normalize_rows(b)).sum()
         c.backward()
         assert c.data == 0.0
         np.testing.assert_array_equal(b.grad, np.zeros((1, 3)))
@@ -177,7 +178,7 @@ class TestPooling:
         rng = np.random.default_rng(3)
         for _ in range(50):
             v = rng.normal(size=9)
-            got = Tensor(v).kmax(9).mean()
+            got = Tensor(v).kmax(9).sum() * (1.0 / 9)
             assert abs(float(got.data) - v.mean()) < 1e-12
 
     def test_kmax_tie_prefers_earlier_index(self):
@@ -288,17 +289,6 @@ class TestShaping:
         rep = grad_check(lambda m, v: ad.add_rowvec(m, v).sum(),
                          [rng.normal(size=(3, 4)), rng.normal(size=4)])
         assert rep.passed
-
-    def test_transpose_values_and_gradient(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(3, 5))
-        t = Tensor(a)
-        np.testing.assert_array_equal(t.T.data, a.T)
-        rep = grad_check(lambda m, w: (m.T @ w).sum(),
-                         [a, rng.normal(size=(3, 2))])
-        assert rep.passed
-        with pytest.raises(ValueError):
-            Tensor(np.zeros(3)).transpose()
 
 
 def weighted_sum(t, rng):
@@ -465,10 +455,10 @@ class TestRandomGraphs:
             u = rng.normal(size=4)
 
             def f(Wt, vt, ut):
-                h = ad.l2_normalize_rows((Wt @ vt).reshape(1, 4)).reshape(4)
+                h = ad.l2_normalize_rows(ad.einsum("ij,j->i", Wt, vt))
                 s = h.softmax()
-                z = ad.l2_normalize_rows((s * ut).reshape(1, 4)).reshape(4)
-                return ad.einsum("i,i->", z, h.relu()) + z.mean()
+                z = ad.l2_normalize_rows(s * ut)
+                return ad.einsum("i,i->", z, h.relu()) + z.sum() * 0.25
 
             rep = grad_check(f, [W, v, u])
             assert rep.passed, f"trial {trial}: {rep}"
@@ -505,7 +495,7 @@ class TestGradCheckInPlace:
         original = w.data
         before = original.copy()
         x = Tensor(np.array([0.3, -0.7]))
-        rep = grad_check(lambda *_: ad.einsum("i,i->", (w @ x).softmax(), x), [w, x])
+        rep = grad_check(lambda *_: ad.einsum("i,i->", ad.einsum("ij,j->i", w, x).softmax(), x), [w, x])
         assert rep.passed, rep
         assert w.data is original
         np.testing.assert_array_equal(w.data, before)
