@@ -98,9 +98,6 @@ class PairBatch:
         self.q_mask = _mask([len(p.q_emb) for p in self.pairs])
         self.d_mask = _mask([len(p.d_emb) for p in self.pairs])
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def mask(self, side: str) -> np.ndarray:
         return self.q_mask if side == "q" else self.d_mask
 

@@ -182,7 +182,7 @@ class Scorer:
 
     def _aggregate(self, batch: PairBatch, rows: Tensor) -> Tensor:
         if self.aggregation == "flat":
-            return self.head.rows(rows.reshape(len(batch), -1))
+            return self.head.rows(rows.reshape(rows.shape[0], -1))
         row_scores = self.head.rows(rows)
         if self.aggregation == "linear":
             return add_rowvec(einsum("bq,q->b", row_scores, self.params["agg.w"]),
