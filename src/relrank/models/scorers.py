@@ -163,6 +163,8 @@ class Scorer:
         :meth:`contexts`, one per pair) stands in for running the
         encoder."""
         p = self.params
+        if not pairs:
+            return Tensor(np.zeros(0))
         if self.extra and any(pair.extra is None for pair in pairs):
             raise ConfigError(
                 f"model {self.name!r} needs extra features on every pair")

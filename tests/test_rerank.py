@@ -9,7 +9,8 @@ from relrank.autodiff import Tensor, no_grad
 from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
 from relrank.embeddings import OOV_ID
-from relrank.models import KeyCodes, build_model, build_pair_input, inputs
+from relrank.models import (BASELINE, KeyCodes, build_model, build_pair_input,
+                            inputs)
 from relrank.models.interactions import (cosine_attention, equality_matrix,
                                          hashed_match_vectors)
 from relrank.rerank import PairBuilder, inspect_interactions, rerank_candidates
@@ -156,6 +157,20 @@ class TestRerankCandidates:
                     fresh = model.score(data.builder.pair(ranked.query_id,
                                                           cand.doc_id))
                     assert float(fresh.data) == cand.score
+
+    @pytest.mark.parametrize("name", ["drmm", "attn-drmm-mv", BASELINE])
+    def test_an_empty_candidate_list_stays_empty(self, name):
+        # A date cutoff can leave a query with no candidate.
+        data = world(with_extra=True)
+        model = build_model(name, 4, np.random.default_rng(0),
+                            extra_features=True)
+        qid = sorted(data.dev_candidates)[0]
+        candidates = {qid: ranked_list_from_scores(qid, []),
+                      **{q: r for q, r in data.dev_candidates.items() if q != qid}}
+        runs = {r.query_id: r for r in rerank_candidates(model, data.builder,
+                                                         candidates)}
+        assert runs[qid].entries == []
+        assert all(runs[q].entries for q in candidates if q != qid)
 
     def test_query_subset_selection(self):
         data = world(seed=3)
