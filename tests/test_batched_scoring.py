@@ -113,8 +113,7 @@ def test_batch_gradients_are_the_sum_of_per_pair_gradients(name, extra,
 
 def test_one_padded_pass_makes_a_fixed_number_of_tensors(monkeypatch):
     # Per-pair scoring made dozens of tensors per pair; the padded pass
-    # makes a number that does not grow with the batch, beyond the one
-    # slice per pair that the contexts are read through.
+    # makes as many for one pair as for the whole batch.
     counts = []
     original = Tensor.__init__
 
