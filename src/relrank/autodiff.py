@@ -29,7 +29,10 @@ Conventions:
   * padded batches: ``softmax`` and ``kmax`` take a mask of the real cells,
     and padding is zeros.  A sum (``sum``, the softmax normalizer) adds in
     index order and ``einsum`` uses numpy's C loop, so a row's value has
-    the same bits alone and inside any batch, with zeros appended.
+    the same bits alone and inside any batch, with zeros appended.  How
+    that loop groups a sum is not documented numpy behaviour: it was
+    verified on numpy 2.4.6, and a numpy upgrade needs
+    ``tests/test_batched_scoring.py`` and ``TestPaddedBatchOps`` rerun.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ padded batch that scores many of them in one pass."""
 from __future__ import annotations
 
 import zlib
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +41,7 @@ class KeyCodes(dict):
 
 @dataclass
 class PairInput:
-    """Everything a scorer may need for one query-document pair.
-
-    ``q_codes`` and ``d_codes`` are the keys' codes from ``key_codes`` (a
-    fresh table when it is None), set at construction.
-    """
+    """Everything a scorer may need for one query-document pair."""
 
     query_id: str
     doc_id: str
@@ -56,14 +53,15 @@ class PairInput:
     q_keys: list         # exact-match equality keys
     d_keys: list
     extra: np.ndarray | None = None  # (4,) extra features when enabled
-    key_codes: InitVar[KeyCodes | None] = None
-    q_codes: np.ndarray = field(init=False, repr=False)
-    d_codes: np.ndarray = field(init=False, repr=False)
+    key_codes: KeyCodes | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self, key_codes):
-        table = KeyCodes() if key_codes is None else key_codes
-        self.q_codes = table.codes(self.q_keys)
-        self.d_codes = table.codes(self.d_keys)
+    @cached_property
+    def codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The query's and the document's keys as codes of ``key_codes`` (a
+        table of their own when None), coded on first read: only the
+        exact-match view reads them."""
+        table = KeyCodes() if self.key_codes is None else self.key_codes
+        return table.codes(self.q_keys), table.codes(self.d_keys)
 
 
 def build_pair_input(query: ProcessedQuery, doc: ProcessedDocument,

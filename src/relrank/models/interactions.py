@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, einsum, l2_normalize_rows, stack
-from .inputs import KeyCodes
 
 
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,8 +103,11 @@ def attended_match_vectors(q_ctx: Tensor, d_ctx: Tensor, d_mask=None) -> Tensor:
     q-term encoding are unit-normalized and multiplied elementwise, so the
     components sum to their cosine.  With rows at least 2 wide the
     attended vector adds the document terms in order, so padding, whose
-    weight is 0, leaves its bits.
+    weight is 0, leaves its bits; 1-wide rows are refused, as numpy adds
+    those in SIMD blocks that padding regroups.
     """
+    if d_ctx.shape[-1] < 2:
+        raise ValueError(f"attention rows must be at least 2 wide, got {d_ctx.shape}")
     logits = einsum("...qw,...dw->...qd", q_ctx, d_ctx)
     weights = logits.softmax(mask=None if d_mask is None else d_mask[..., None, :])
     attended = einsum("...qd,...dw->...qw", weights, d_ctx)
@@ -142,25 +144,15 @@ def max_kmax_pool(scores: Tensor, k: int, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _codes(q_keys, d_keys):
-    """Both sides as key codes: code arrays (``PairInput.q_codes``, or a
-    padded batch's with -1 in the padding) pass through, and two lists of
-    keys are coded by one fresh table."""
-    if isinstance(q_keys, np.ndarray):
-        return q_keys, d_keys
-    table = KeyCodes()
-    return table.codes(q_keys), table.codes(d_keys)
+def equality_matrix(q_codes: np.ndarray, d_codes: np.ndarray) -> np.ndarray:
+    """{0,1} matrix of exact key equality, (..., n) and (..., m) key codes
+    (``PairInput.codes``, -1 in a padded batch's padding) to (..., n, m);
+    the cosine matrix of one-hots.  Padding matches nothing."""
+    q = q_codes[..., :, None]
+    return ((q == d_codes[..., None, :]) & (q >= 0)).astype(np.float64)
 
 
-def equality_matrix(q_keys, d_keys) -> np.ndarray:
-    """{0,1} matrix of exact key equality, (..., n) and (..., m) keys to
-    (..., n, m); the cosine matrix of one-hots.  Padding matches nothing."""
-    q, d = _codes(q_keys, d_keys)
-    q = q[..., :, None]
-    return ((q == d[..., None, :]) & (q >= 0)).astype(np.float64)
-
-
-def hashed_match_vectors(q_keys, d_keys, width: int):
+def hashed_match_vectors(q_codes: np.ndarray, d_codes: np.ndarray, width: int):
     """Exact-match one-hots folded into a fixed width by hashing: a key
     lands in slot ``crc32(repr(key)) % width``, a padding code in none.
 
@@ -169,7 +161,7 @@ def hashed_match_vectors(q_keys, d_keys, width: int):
     can consume alongside the other views.
     """
     out = []
-    for codes in _codes(q_keys, d_keys):
+    for codes in (q_codes, d_codes):
         hot = np.zeros(codes.shape + (width,))
         real = codes >= 0
         hot[real, (codes[real] >> 16) % width] = 1.0

@@ -15,11 +15,12 @@ pairs in one padded pass and returns a (B,) autodiff tensor, so the
 training loop can backpropagate through it.  The rows stage returns the
 batch's rows padded to (B, longest query, width); the views, the pooling,
 the head, the gate (a softmax masked to the real query terms) and the
-extra-feature mix each run once per batch.  DRMM's histograms and PACRR's
-convolutions are computed per pair and stacked.  Every contraction is an
-einsum and every sum over a padded axis adds in index order, so a pair
-scores the same bits alone (``score``, the batch of one) and inside any
-batch.  Training scores each minibatch with it, and reranking each
+extra-feature mix each run once per batch, or once per bucket of
+documents within a factor 2 in length where the lengths differ more:
+the views pad every document to the longest.  DRMM's histograms and
+PACRR's convolutions are computed per pair and stacked.  Every contraction is an einsum and every sum over a padded
+axis adds in index order, so a pair scores the same bits alone
+(``score``, the batch of one) and inside any batch.  Training scores each minibatch with it, and reranking each
 candidate list.
 
 ``contexts``, one (query, document) pair of encodings per pair, stands in
@@ -102,7 +103,8 @@ class Scorer:
         ``embedding`` vectors, or ``exact``-match key codes (-1 in the
         padding)."""
         if name == "exact":
-            return batch.pad("q", "codes", -1), batch.pad("d", "codes", -1)
+            return tuple(batch.pad(side, [p.codes[i] for p in batch.pairs], -1)
+                         for i, side in enumerate("qd"))
         if name == "context":
             return tuple(pad([c[i] for c in contexts], batch.mask(side).shape[1])
                          for i, side in enumerate("qd"))
@@ -169,10 +171,9 @@ class Scorer:
             raise ConfigError(
                 f"model {self.name!r} needs extra features on every pair")
         if self.rows_stage is not None:
-            batch = PairBatch(pairs)
             if contexts is None:
                 contexts = self.contexts(pairs)
-            base = self._aggregate(batch, self.rows_stage(self, batch, contexts))
+            base = self._model_scores(pairs, contexts)
             if not self.extra:
                 return base
         extra = np.stack([pair.extra for pair in pairs])
@@ -181,6 +182,21 @@ class Scorer:
         if self.rows_stage is None:
             return total
         return total + einsum("b,->b", base, p["combine.w_model"])
+
+    def _model_scores(self, pairs: list[PairInput], contexts) -> Tensor:
+        """The (B,) scores before the extra-feature mix, one padded pass
+        per bucket of documents within a factor 2 in length
+        (:func:`length_buckets`): the views pad every document to the
+        longest, and so the padding never outgrows the real terms."""
+        buckets = length_buckets([len(p.d_emb) for p in pairs])
+        scores = []
+        for idx in buckets:
+            batch = PairBatch([pairs[i] for i in idx])
+            scores.append(self._aggregate(batch, self.rows_stage(
+                self, batch, [contexts[i] for i in idx])))
+        if len(scores) == 1:
+            return scores[0]
+        return gather_rows(concat(scores), np.argsort(np.concatenate(buckets)))
 
     def _aggregate(self, batch: PairBatch, rows: Tensor) -> Tensor:
         if self.aggregation == "flat":
@@ -192,6 +208,18 @@ class Scorer:
         gates = term_gate(self.gate_inputs(batch), self.params["gate.w"],
                           batch.q_mask)
         return (gates * row_scores).sum(axis=-1)
+
+
+def length_buckets(lengths) -> list[np.ndarray]:
+    """Indices of ``lengths`` grouped, shortest first, so that each
+    group's longest is at most twice its shortest."""
+    order = np.argsort(lengths, kind="stable")
+    buckets, start = [], 0
+    for end in range(1, len(order) + 1):
+        if end == len(order) or lengths[order[end]] > 2 * lengths[order[start]]:
+            buckets.append(order[start:end])
+            start = end
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Pair assembly and candidate re-scoring.
 
 ``PairBuilder`` turns (query_id, doc_id) into the model input bundle,
-attaching the per-query extra features when asked, and codes every
-exact-match key once for all its pairs.  ``rerank_candidates`` scores
-whole candidate lists with frozen parameters, one padded pass per list
-(``Scorer.score_batch``, the path training's minibatches take too).  For
+attaching the per-query extra features when asked, and gives all its
+pairs one exact-match key table, so each distinct key is hashed once.
+``rerank_candidates`` scores whole candidate lists with frozen
+parameters, one ``Scorer.score_batch`` call per list (the path
+training's minibatches take too): one padded pass, or one per bucket of
+documents of similar length.  For
 a model with the context encoder, each list's query and every document
 not encoded earlier in the call go through the encoder together
 (``Scorer.contexts``); a document shared by many queries is encoded once

@@ -7,7 +7,7 @@ import numpy as np
 
 from relrank.autodiff import grad_check
 from relrank.embeddings import align_embeddings, read_word2vec, write_word2vec_binary
-from relrank.models import PairInput
+from relrank.models import KeyCodes, PairInput
 from relrank.rerank import PairBuilder
 from relrank.synthetic import generate_world, write_world
 from relrank.text import ProcessedDocument, ProcessedQuery, Vocabulary, compute_idf
@@ -25,6 +25,12 @@ def make_pair(rng, n, m, dim, extra=False):
     return PairInput("q", "d", q_emb, d_emb, q_idf,
                      np.arange(n), np.arange(m), q_keys, d_keys,
                      extra=rng.standard_normal(4) if extra else None)
+
+
+def coded(q_keys, d_keys):
+    """Both sides' exact-match keys coded by one table, as a pair's are."""
+    table = KeyCodes()
+    return table.codes(q_keys), table.codes(d_keys)
 
 
 def jitter_zero_params(model, rng, scale=0.1):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from support import (jitter_zero_params, make_pair, make_workspace,
+from support import (coded, jitter_zero_params, make_pair, make_workspace,
                      model_grad_check, zero_encoder)
 
 from relrank.autodiff import Tensor
@@ -402,7 +402,7 @@ class TestInvarianceSuite:
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
             q_keys = [("id", int(t)) for t in rng.integers(0, 4, n)]
             d_keys = [("id", int(t)) for t in rng.integers(0, 4, m)]
-            matrix = equality_matrix(q_keys, d_keys)
+            matrix = equality_matrix(*coded(q_keys, d_keys))
             if not set(np.unique(matrix)) <= {0.0, 1.0}:
                 violations["binary"] += 1
 

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from support import coded
 
 from relrank.embeddings import (
     EmbeddingFormatError,
@@ -169,7 +170,7 @@ class TestAlignment:
 
 def exact_view(query, doc):
     """The exact-match view the models read: key equality, as a 0/1 matrix."""
-    return equality_matrix(*exact_match_keys(query, doc))
+    return equality_matrix(*coded(*exact_match_keys(query, doc)))
 
 
 class TestExactMatchView:
@@ -211,7 +212,7 @@ class TestExactMatchView:
         # The attention models fold the keys into hashed one-hots.
         q = ProcessedQuery("q", [0, 1], ["a", "b"])
         d = ProcessedDocument("d", [1, 2, 2])
-        qv, dv = hashed_match_vectors(*exact_match_keys(q, d), 6)
+        qv, dv = hashed_match_vectors(*coded(*exact_match_keys(q, d)), 6)
         assert qv.shape == (2, 6) and dv.shape == (3, 6)
         np.testing.assert_array_equal(np.linalg.norm(qv, axis=1), 1.0)
         np.testing.assert_array_equal(np.linalg.norm(dv, axis=1), 1.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from support import coded
 
 from relrank.autodiff import Tensor, grad_check, stack
 from relrank.errors import ConfigError
@@ -328,13 +329,13 @@ class TestExactMatchSignals:
     def test_equality_matrix(self):
         q = [("id", 1), ("id", 2), ("oov", "x")]
         d = [("id", 2), ("id", 3), ("id", 2)]
-        got = equality_matrix(q, d)
+        got = equality_matrix(*coded(q, d))
         np.testing.assert_array_equal(got, [[0, 0, 0], [1, 0, 1], [0, 0, 0]])
 
     def test_hashed_vectors_preserve_equality(self):
         q = [("id", 5), ("oov", "zz")]
         d = [("id", 5), ("id", 6), ("id", 5)]
-        qv, dv = hashed_match_vectors(q, d, 16)
+        qv, dv = hashed_match_vectors(*coded(q, d), 16)
         assert qv.shape == (2, 16) and dv.shape == (3, 16)
         np.testing.assert_array_equal(qv.sum(axis=1), 1.0)
         np.testing.assert_array_equal(dv.sum(axis=1), 1.0)
@@ -343,6 +344,6 @@ class TestExactMatchSignals:
 
     def test_hashed_vectors_deterministic(self):
         keys = [("id", k) for k in range(40)]
-        a, _ = hashed_match_vectors(keys, [], 8)
-        b, _ = hashed_match_vectors(keys, [], 8)
+        a, _ = hashed_match_vectors(*coded(keys, []), 8)
+        b, _ = hashed_match_vectors(*coded(keys, []), 8)
         np.testing.assert_array_equal(a, b)

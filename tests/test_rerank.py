@@ -73,14 +73,14 @@ class TestKeyCodes:
         pair = builder.pair("q", "d")
         assert pair.q_keys == [("id", 3), ("oov", "zzz"), ("id", 5)]
         for width in (6, 16, 97):
-            qv, dv = hashed_match_vectors(pair.q_codes, pair.d_codes, width)
+            qv, dv = hashed_match_vectors(*pair.codes, width)
             for keys, hot in ((pair.q_keys, qv), (pair.d_keys, dv)):
                 want = [zlib.crc32(repr(key).encode("utf-8")) % width
                         for key in keys]
                 assert hot.argmax(axis=1).tolist() == want
                 np.testing.assert_array_equal(hot.sum(axis=1), 1.0)
         np.testing.assert_array_equal(
-            equality_matrix(pair.q_codes, pair.d_codes),
+            equality_matrix(*pair.codes),
             [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
 
     def test_each_distinct_key_is_hashed_once_per_builder(self, monkeypatch):
@@ -94,17 +94,20 @@ class TestKeyCodes:
         monkeypatch.setattr(inputs.zlib, "crc32", counted)
         data = world()
         builder = data.builder
+        pairs = [builder.pair(qid, did)
+                 for qid, ranked in sorted(builder.candidates.items())
+                 for did in ranked.doc_ids()]
+        assert not hashed  # keys are coded when the exact view reads them
         distinct = set()
-        for qid, ranked in sorted(builder.candidates.items()):
-            for did in ranked.doc_ids():
-                pair = builder.pair(qid, did)
-                distinct |= set(pair.q_keys) | set(pair.d_keys)
+        for pair in pairs:
+            pair.codes
+            distinct |= set(pair.q_keys) | set(pair.d_keys)
         assert len(hashed) == len(distinct)
         assert sorted(hashed) == sorted(repr(k).encode("utf-8") for k in distinct)
         fresh = PairBuilder(builder.queries.values(), builder.documents.values(),
                             builder.candidates, builder.emb, builder.idf)
         qid = sorted(builder.candidates)[0]
-        fresh.pair(qid, builder.candidates[qid].doc_ids()[0])
+        fresh.pair(qid, builder.candidates[qid].doc_ids()[0]).codes
         assert len(hashed) > len(distinct)  # its own table, hashed again
 
     def test_colliding_keys_keep_distinct_codes(self):

@@ -492,7 +492,7 @@ class TestAttentionDrmm:
         view_e = attended_match_vectors(
             Tensor(np.concatenate([pair.q_emb, pair.q_emb], axis=1)),
             Tensor(np.concatenate([pair.d_emb, pair.d_emb], axis=1))).data
-        q_h, d_h = hashed_match_vectors(pair.q_keys, pair.d_keys, 6)
+        q_h, d_h = hashed_match_vectors(*pair.codes, 6)
         view_h = attended_match_vectors(Tensor(q_h), Tensor(d_h)).data
         got = model.rows(pair).data
         np.testing.assert_allclose(got, view_c + view_e + view_h, atol=1e-12)
