@@ -37,6 +37,7 @@ Conventions:
 
 from __future__ import annotations
 
+import string
 import struct
 from contextlib import contextmanager
 
@@ -455,29 +456,35 @@ def gather_rows(t: Tensor, indices) -> Tensor:
 
 
 def conv2d(x: np.ndarray, filters: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Valid 2-D correlation of a constant (H, W) array with (F, n, n) square
-    filters.
+    """Valid 2-D correlation of a constant (..., H, W) array with (F, n, n)
+    square filters, over its last two axes.
 
-    Returns (F, H-n+1, W-n+1); pad beforehand to preserve spatial size.
-    Only the filters and bias are differentiated, so the input is a plain
-    array and a Tensor input raises TypeError.
+    Returns (..., F, H-n+1, W-n+1); pad beforehand to preserve spatial size.
+    Each output cell is the einsum's sum over its own window, so an image
+    of a batch gets the bits it gets alone; the filter and bias gradients
+    add over the batch.  Only the filters and bias are differentiated, so
+    the input is a plain array and a Tensor input raises TypeError.
     """
     if isinstance(x, Tensor):
         raise TypeError("conv2d computes no input gradient; pass the input as an array")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or filters.ndim != 3 or filters.data.shape[1] != filters.data.shape[2]:
-        raise ValueError("conv2d expects a 2-D input and (F, n, n) filters")
+    if x.ndim < 2 or filters.ndim != 3 or filters.data.shape[1] != filters.data.shape[2]:
+        raise ValueError("conv2d expects an (..., H, W) input and (F, n, n) filters")
     n = filters.data.shape[1]
-    if n > min(x.shape):
+    if n > min(x.shape[-2:]):
         raise ValueError(f"kernel size {n} exceeds input {x.shape}")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (n, n))
-    y = np.einsum("hwij,fij->fhw", windows, filters.data)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (n, n), axis=(-2, -1))
+    y = np.einsum("...hwij,fij->...fhw", windows, filters.data)
     if bias is not None:
         y = y + bias.data[:, None, None]
+    # numpy sums no ellipsis away, so the batch axes get letters of their own.
+    batch = string.ascii_uppercase[:x.ndim - 2]
 
     def rule(g):
-        grads = (np.einsum("hwij,fhw->fij", windows, g),)
-        return grads if bias is None else grads + (g.sum(axis=(1, 2)),)
+        grads = (np.einsum(f"{batch}hwij,{batch}fhw->fij", windows, g),)
+        if bias is None:
+            return grads
+        return grads + (g.sum(axis=tuple(range(len(batch))) + (-2, -1)),)
     parents = (filters,) if bias is None else (filters, bias)
     return Tensor(y, parents, "conv2d", rule)
 

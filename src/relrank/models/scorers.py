@@ -17,10 +17,12 @@ batch's rows padded to (B, longest query, width); the views, the pooling,
 the head, the gate (a softmax masked to the real query terms) and the
 extra-feature mix each run once per batch, or once per bucket of
 documents within a factor 2 in length where the lengths differ more:
-the views pad every document to the longest.  DRMM's histograms and
-PACRR's convolutions are computed per pair and stacked.  Every contraction is an einsum and every sum over a padded
-axis adds in index order, so a pair scores the same bits alone
-(``score``, the batch of one) and inside any batch.  Training scores each minibatch with it, and reranking each
+the views pad every document to the longest.  PACRR's convolutions run
+once per bucket too, over a stack of the pairs' similarity blocks; DRMM's
+histograms are computed per pair and stacked.  Every contraction is an
+einsum and every sum over a padded axis adds in index order, so a pair
+scores the same bits alone (``score``, the batch of one) and inside any
+batch.  Training scores each minibatch with it, and reranking each
 candidate list.
 
 ``contexts``, one (query, document) pair of encodings per pair, stands in
@@ -38,7 +40,7 @@ import inspect
 import numpy as np
 
 from ..autodiff import (ParameterSet, Tensor, add_rowvec, concat, einsum,
-                        gather_rows, pad, stack)
+                        gather_rows, pad)
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError, check_type
 from .components import Mlp, glorot_uniform
@@ -254,48 +256,53 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
                max_kernel: int, filters: int, k: int):
     """Register PACRR's filters; return the rows stage and its row width.
 
-    Each pair is convolved on its own and the batch's rows stacked.  Per
-    query row of the zero-padded max_query_terms x max_doc_terms cosine
+    Per query row of the zero-padded max_query_terms x max_doc_terms cosine
     matrix: k-max of the raw cosine row (size-1 signal), then k-max of each
     conv output (sizes 2..max_kernel, relu, max over filters), then the
     softmax-normalized IDF appended after pooling.
 
-    The rows equal that padded computation, but only the real block is
-    convolved.  A window wholly in the padding outputs the bias, so after
-    relu and the max over filters every such cell holds the same constant.
-    Each kernel therefore convolves the real block and its border, plus k
-    columns and one row of padding: a row's k-max stops at those k columns
-    (ties go to the earlier index), and the padding row stands in for every
-    query row below it.
+    The rows equal that padded computation, but only the real blocks are
+    convolved, all of a batch's at once.  A window wholly in the padding
+    outputs the bias, so after relu and the max over filters every such
+    cell holds the same constant.  Each kernel therefore convolves a stack
+    of the real blocks and their borders, plus k columns and one row of
+    padding past the batch's longest document and query: a row's k-max
+    stops at its own k padding columns (ties go to the earlier index), so
+    more padding only adds ties, and a pair's padding row stands in for
+    every query row below it.
     """
     convs = [(n, model.params.add(f"conv{n}.w", glorot_uniform(
                   rng, n * n, n * n, (filters, n, n))),
               model.params.add(f"conv{n}.b", np.zeros(filters)))
              for n in range(2, max_kernel + 1)]
 
-    def pair_rows(pair):
+    def rows(model, batch, contexts):
         # Looked up at call time, so a wrapper put on autodiff.conv2d (the
         # benchmark's tracer) sees every call.
         from ..autodiff import conv2d
 
-        sim = sim_matrix(pair.q_emb, pair.d_emb, max_query_terms, max_doc_terms)
-        nq = min(len(pair.q_emb), max_query_terms)
-        nd = min(len(pair.d_emb), max_doc_terms)
-        feats = [Tensor(sim[:, :nd + k]).kmax(k)]
+        pairs = batch.pairs
+        nq = np.minimum([len(p.q_emb) for p in pairs], max_query_terms)
+        nd = np.minimum([len(p.d_emb) for p in pairs], max_doc_terms)
+        # Each pair's matrix is zero past its real block, so the stack's
+        # top-left corner holds every block with zeros around it.
+        sims = np.stack([sim_matrix(p.q_emb, p.d_emb, max_query_terms,
+                                    max_doc_terms)[:, :nd.max() + k]
+                         for p in pairs])
+        blocks = sims[:, :nq.max(), :nd.max()]
+        feats = [Tensor(sims).kmax(k)]
         for n, w, b in convs:
             top = (n - 1) // 2
-            height = min(nq + top + 1, max_query_terms)
-            width = min(nd + top + k, max_doc_terms)
-            x = np.zeros((height + n - 1, width + n - 1))
-            x[top:top + nq, top:top + nd] = sim[:nq, :nd]
-            pooled = conv2d(x, w, b).relu().max(axis=0).kmax(k)
-            feats.append(gather_rows(pooled, np.minimum(
-                np.arange(max_query_terms), height - 1)))
-        feats.append(Tensor(softmax_idf(pair.q_idf, max_query_terms)[:, None]))
-        return concat(feats, axis=1)
-
-    def rows(model, batch, contexts):
-        return stack([pair_rows(pair) for pair in batch.pairs])
+            heights = np.minimum(nq + top + 1, max_query_terms)
+            width = min(nd.max() + top + k, max_doc_terms)
+            x = np.zeros((len(pairs), heights.max() + n - 1, width + n - 1))
+            x[:, top:top + blocks.shape[1], top:top + blocks.shape[2]] = blocks
+            pooled = conv2d(x, w, b).relu().max(axis=1).kmax(k)
+            feats.append(pooled[np.arange(len(pairs))[:, None], np.minimum(
+                np.arange(max_query_terms), heights[:, None] - 1)])
+        feats.append(Tensor(np.stack([softmax_idf(p.q_idf, max_query_terms)
+                                      for p in pairs])[..., None]))
+        return concat(feats, axis=-1)
 
     return rows, max_kernel * k + 1
 

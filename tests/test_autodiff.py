@@ -228,6 +228,37 @@ class TestConv2d:
         rep = grad_check(lambda f, c: ad.conv2d(x, f, c).sum(), [w, b])
         assert rep.passed, rep
 
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_batched_gradients(self, batch):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(batch, 5, 6))
+        rep = grad_check(lambda f, c: weighted_sum(ad.conv2d(x, f, c),
+                                                   np.random.default_rng(7)),
+                         [rng.normal(size=(3, 2, 2)), rng.normal(size=3)])
+        assert rep.passed, rep
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 2)])
+    def test_a_batch_convolves_each_image_as_alone(self, lead):
+        # The same bits forward; the gradients add the images' terms in
+        # another order.
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=lead + (5, 7))
+        w, b = Tensor(rng.normal(size=(4, 3, 3))), Tensor(rng.normal(size=4))
+        g = rng.normal(size=lead + (4, 3, 5))
+        out = ad.conv2d(x, w, b)
+        assert out.shape == g.shape
+        (out * g).sum().backward()
+        batched = w.grad.copy(), b.grad.copy()
+        w.grad = b.grad = None
+        for image, image_g, image_out in zip(x.reshape(-1, 5, 7),
+                                             g.reshape(-1, 4, 3, 5),
+                                             out.data.reshape(-1, 4, 3, 5)):
+            alone = ad.conv2d(image, w, b)
+            np.testing.assert_array_equal(image_out, alone.data)
+            (alone * image_g).sum().backward()  # leaf gradients add up
+        np.testing.assert_allclose(batched[0], w.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched[1], b.grad, rtol=0, atol=1e-12)
+
     def test_pad_then_conv_preserves_shape(self):
         p = np.pad(np.ones((4, 5)), ((1, 1), (1, 1)))
         out = ad.conv2d(p, Tensor(np.ones((2, 3, 3))))

@@ -16,9 +16,10 @@ from support import jitter_zero_params
 
 DIM = 3
 ENCODER_MODELS = ("attn-drmm", "attn-drmm-mv", "pooled-drmm", "pooled-drmm-mv")
-# Query and document lengths in one batch: 1-term sides, and documents on
-# both sides of numpy's 128-term pairwise-sum block.
-Q_LENGTHS = (1, 3, 5)
+# Query and document lengths in one batch: 1-term sides, documents on both
+# sides of numpy's 128-term pairwise-sum block, and a query and a document
+# past the convolutional models' cuts (SMALL_CONV).
+Q_LENGTHS = (1, 3, 5, 8)
 D_LENGTHS = (1, 2, 16, 127, 129, 200)
 SMALL_CONV = dict(max_query_terms=6, max_doc_terms=140, filters=3)
 
@@ -112,7 +113,8 @@ def test_batch_gradients_are_the_sum_of_per_pair_gradients(name, extra,
                                    err_msg=n)
 
 
-def test_one_padded_pass_makes_a_fixed_number_of_tensors(monkeypatch):
+@pytest.mark.parametrize("name", ["pooled-drmm-mv", "pacrr", "pacrr-drmm"])
+def test_one_padded_pass_makes_a_fixed_number_of_tensors(monkeypatch, name):
     # Per-pair scoring made dozens of tensors per pair; the padded pass
     # makes as many for one pair as for a batch whose documents share one
     # length bucket.
@@ -125,7 +127,7 @@ def test_one_padded_pass_makes_a_fixed_number_of_tensors(monkeypatch):
 
     matrix, pairs = world(seed=6)
     pairs = [p for p in pairs if len(p.d_emb) >= 127]
-    model = build("pooled-drmm-mv", True, False, matrix)
+    model = build(name, True, False, matrix)
     contexts = model.contexts(pairs)
     monkeypatch.setattr(Tensor, "__init__", counted)
     for size in (1, 4, len(pairs)):
@@ -155,7 +157,7 @@ def test_a_batch_makes_one_padded_pass_per_length_bucket(monkeypatch):
     model.score_batch(pairs)
     lengths = sorted(len(p.d_emb) for p in pairs)
     assert sorted(set(lengths)) == [1, 2, 3, 16, 127, 129, 200]
-    assert passes == [lengths[:6], lengths[6:7], lengths[7:10], lengths[10:]]
+    assert passes == [lengths[:8], lengths[8:9], lengths[9:13], lengths[13:]]
 
 
 class TestPaddingTakesNothing:

@@ -9,10 +9,14 @@ src's own imports: its bare name in its own module, a name bound by
 is matched by name only: it counts when src calls ``obj.method(...)``, and a
 property when src reads ``obj.prop``.  So a local variable that shares a
 method's name does not keep the method alive, nor does a read of a field
-that shares it (``c.score`` of a ``Candidate``), but any call
-``obj.method(...)`` does.  A reference made from inside an oracle's
-definition does not count: what only an oracle uses belongs in the oracle.
-An entry point's references count, because code outside src runs it.
+that shares it (``c.score`` of a ``Candidate``), but a call
+``obj.method(...)`` does.  A method whose name a builtin type's method also
+has (``encode``, ``add``, ``items``) counts only when called from its own
+module or from one that imports from it: elsewhere, as in
+``text.encode("utf-8")``, the call may be the builtin's.  A reference made
+from inside an oracle's definition does not count: what only an oracle uses
+belongs in the oracle.  An entry point's references count, because code
+outside src runs it.
 """
 
 import ast
@@ -35,12 +39,18 @@ ORACLES = {
 }
 ENTRY_POINTS = {
     "models.scorers.Scorer.score": "perfbench/checks.py rescoring check",
+    "encoder.BiRnnEncoder.encode":
+        "perfbench/spans.py wraps it by name, and a traced run whose wrapped "
+        "name is missing reads correct: false",
     "synthetic.generate_world":
         "builds the synthetic world (README, perfbench)",
     "synthetic.write_world":
         "writes the synthetic world to disk (README, perfbench)",
 }
 ALLOWED = {**ORACLES, **ENTRY_POINTS}
+# The methods of the builtin types whose values src calls methods on.
+BUILTIN_METHODS = {name for kind in (str, bytes, int, float, list, tuple, dict,
+                                     set, frozenset) for name in dir(kind)}
 
 
 def _outside_oracles(node, qualname):
@@ -94,8 +104,9 @@ def _bindings(trees):
 def _scan(planted=None):
     """(qualified name, kind) per definition, the kind None for a function
     or class, True for a property and False for another method; then the
-    definitions src's names resolve to, the attribute names src calls and
-    those it reads, all outside the oracles."""
+    definitions src's names resolve to, the modules that call each
+    attribute name, the attribute names src reads, all outside the
+    oracles, and per module the modules it imports from."""
     trees = _parse(planted)
     bound = _bindings(trees)
     defs, top = [], set()
@@ -120,20 +131,29 @@ def _scan(planted=None):
             module, name = target
         return f"{module}.{name}"
 
-    referenced, called, read = set(), set(), set()
+    def source(kind, target):
+        """The module an import binding's name comes from, past re-exports."""
+        if kind == "module":
+            return target
+        found = resolve(*target)
+        return found.rpartition(".")[0] if found else target[0]
+
+    imports = {module: {source(*binding) for binding in names.values()}
+               for module, names in bound.items()}
+    referenced, called, read = set(), {}, set()
     for module, (tree, _) in trees.items():
         for n in _outside_oracles(tree, module):
             if isinstance(n, ast.Name):
                 referenced.add(resolve(module, n.id))
             elif isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute):
-                called.add(n.func.attr)
+                called.setdefault(n.func.attr, set()).add(module)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
                 if isinstance(n.value, ast.Name):
                     kind, target = bound[module].get(n.value.id, (None, None))
                     if kind == "module":
                         referenced.add(resolve(target, n.attr))
-    return defs, referenced, called, read
+    return defs, referenced, called, read, imports
 
 
 def _is_property(method) -> bool:
@@ -143,11 +163,20 @@ def _is_property(method) -> bool:
 
 
 def _unreferenced(planted=None):
-    defs, referenced, called, read = _scan(planted)
-    uses = {False: called, True: read}
-    return [qualname for qualname, kind in defs
-            if (qualname not in referenced if kind is None
-                else qualname.rsplit(".", 1)[1] not in uses[kind])]
+    defs, referenced, called, read, imports = _scan(planted)
+
+    def used(qualname, kind):
+        if kind is None:
+            return qualname in referenced
+        module, _, method = qualname.rsplit(".", 2)
+        if kind:
+            return method in read
+        callers = called.get(method, set())
+        if method not in BUILTIN_METHODS:
+            return bool(callers)
+        return any(c == module or module in imports[c] for c in callers)
+
+    return [qualname for qualname, kind in defs if not used(qualname, kind)]
 
 
 def test_every_src_name_has_a_src_reference():
@@ -175,3 +204,20 @@ def test_a_field_read_keeps_no_method_of_its_name_alive():
     assert "planted.Planted.score" in _unreferenced(planted)
     called = {"planted": planted["planted"] + "\n\nPlanted().score()\n"}
     assert "planted.Planted.score" not in _unreferenced(called)
+
+
+def test_a_builtin_method_call_keeps_no_method_of_its_name_alive():
+    # src calls ``str.encode``; under a rule that matched any
+    # ``obj.encode(...)`` those calls would keep this unused method alive.
+    calls = {module for module, (tree, _) in _parse().items()
+             for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+             and n.func.attr == "encode"}
+    assert {"config", "files", "text"} <= calls
+    planted = {"planted": "class Planted:\n"
+                          "    def encode(self):\n"
+                          "        return b''\n"}
+    assert "planted.Planted.encode" in _unreferenced(planted)
+    user = {**planted, "user": "from .planted import Planted\n\n"
+                               "Planted().encode()\n"}
+    assert "planted.Planted.encode" not in _unreferenced(user)

@@ -414,12 +414,18 @@ class TestTrimmedConvRows:
                              int(rng.integers(1, max_d + 4)), bool(rng.integers(2)))
             self.assert_same(model, pair, max_q, max_d, max_kernel, k)
 
-    def test_padding_is_not_convolved(self, monkeypatch):
-        # At the default 30 x 300 sizes a 3-term query and a 16-term document
-        # convolve at most (nq + n) x (nd + n + k) cells per filter.
+    @pytest.mark.parametrize("lengths", [
+        [(3, 16)], [(3, 16), (1, 9), (5, 12), (2, 16)]],
+        ids=["one_pair", "mixed_bucket"])
+    def test_padding_is_not_convolved(self, monkeypatch, lengths):
+        # At the default 30 x 300 sizes a bucket of B pairs (documents within
+        # a factor 2 in length) convolves each kernel once, over at most
+        # B x (longest query + n) x (longest document + n + k) cells per
+        # filter.
         rng = np.random.default_rng(20)
         model = build_model("pacrr", 3, rng)
-        nq, nd, k, filters = 3, 16, 2, 16
+        k, filters = 2, 16
+        nq, nd = max(q for q, _ in lengths), max(d for _, d in lengths)
         shapes = []
 
         def counted(x, w, b=None):
@@ -428,10 +434,12 @@ class TestTrimmedConvRows:
             return out
 
         monkeypatch.setattr(autodiff, "conv2d", counted)
-        model.score(make_pair(rng, nq, nd, 3)).backward()
+        pairs = [make_pair(rng, q, d, 3) for q, d in lengths]
+        model.score_batch(pairs).sum().backward()
         assert [n for n, _ in shapes] == [2, 3]
         for n, shape in shapes:
-            assert np.prod(shape) <= filters * (nq + n) * (nd + n + k), (n, shape)
+            assert np.prod(shape) <= (len(pairs) * filters * (nq + n)
+                                      * (nd + n + k)), (n, shape)
 
 
 class TestAttentionDrmm:
