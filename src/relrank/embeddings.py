@@ -1,4 +1,4 @@
-"""Pre-trained word vectors: word2vec IO, corpus alignment, and exact-match keys.
+"""Pre-trained word vectors: word2vec IO and corpus alignment.
 
 Both word2vec encodings share the header line ``vocab_size dim``.  The text
 body is one ``token v1 ... vdim`` line per entry; the binary body is
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .files import BinaryReader
-from .text import OOV_ID, Vocabulary
+from .text import Vocabulary
 
 FORMATS = ("text", "binary")
 
@@ -163,26 +163,3 @@ def load_embeddings(path, vocabulary: Vocabulary, fmt: str = "text") -> Embeddin
     log.info("%s: %d of %d vocabulary terms have a vector",
              path, emb.covered, len(vocabulary))
     return emb
-
-
-# ---------------------------------------------------------------------------
-# Exact-match keys
-# ---------------------------------------------------------------------------
-
-
-def exact_match_keys(query, doc):
-    """Equality keys for the exact-match view.
-
-    In-vocabulary terms are keyed by id.  Query terms outside the vocabulary
-    are keyed by surface token, so they can never equal a document term but
-    repeated unseen tokens still share a key.
-    """
-    q_keys = []
-    for i, tid in enumerate(query.terms):
-        if tid == OOV_ID:
-            tok = query.tokens[i] if i < len(query.tokens) else f"\x00{i}"
-            q_keys.append(("oov", tok))
-        else:
-            q_keys.append(("id", tid))
-    d_keys = [("id", tid) for tid in doc.terms]
-    return q_keys, d_keys

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from ..text import OOV_ID, IdfTable, ProcessedDocument, ProcessedQuery
+from ..text import OOV_ID
 from ..trec import RankedList
 
 
@@ -30,10 +30,12 @@ class ExtraFeatureBuilder:
 
     The BM25 z-score is normalized over this query's candidates (population
     standard deviation; a constant list z-scores to 0), so the builder is
-    constructed per query.
+    constructed per query.  The overlaps read the two sides' inputs
+    (``models.inputs.SideInput``): the query's term ids and IDF values, and
+    the document's term and bigram sets.
     """
 
-    def __init__(self, candidates: RankedList, idf: IdfTable):
+    def __init__(self, candidates: RankedList):
         if not candidates.entries:
             raise DataError(
                 f"query {candidates.query_id}: empty candidate list")
@@ -42,33 +44,29 @@ class ExtraFeatureBuilder:
         values = np.array([c.score for c in candidates.entries])
         self._mean = float(values.mean())
         self._std = float(values.std())
-        self._idf = idf
 
-    def features(self, query: ProcessedQuery, doc: ProcessedDocument) -> ExtraFeatures:
+    def features(self, doc_id: str, q, d) -> ExtraFeatures:
         try:
-            bm25 = self._scores[doc.doc_id]
+            bm25 = self._scores[doc_id]
         except KeyError:
-            raise DataError(f"doc {doc.doc_id!r} is not a candidate for "
+            raise DataError(f"doc {doc_id!r} is not a candidate for "
                             f"query {self.query_id!r}")
         bm25_z = 0.0 if self._std == 0.0 else (bm25 - self._mean) / self._std
 
-        n = len(query.terms)
-        doc_terms = set(doc.terms)
-        matched = [t for t in query.terms if t != OOV_ID and t in doc_terms]
+        terms, idfs = q.ids.tolist(), q.idf.tolist()
+        n = len(terms)
+        matched = [w for t, w in zip(terms, idfs) if t != OOV_ID and t in d.terms]
         exact = len(matched) / n
 
-        idf_total = sum(self._idf.idf_of(t) for t in query.terms)
-        idf_matched = sum(self._idf.idf_of(t) for t in matched)
-        idf_weighted = idf_matched / idf_total if idf_total > 0 else 0.0
+        idf_total = sum(idfs)
+        idf_weighted = sum(matched) / idf_total if idf_total > 0 else 0.0
 
         if n > 1:
-            doc_bigrams = set(zip(doc.terms, doc.terms[1:]))
-            hits = sum(1 for pair in zip(query.terms, query.terms[1:])
-                       if pair in doc_bigrams)
+            hits = sum(1 for pair in zip(terms, terms[1:]) if pair in d.bigrams)
             bigram = hits / (n - 1)
         else:
             bigram = 0.0
         return ExtraFeatures(bm25_z, exact, idf_weighted, bigram)
 
-    def feature_array(self, query, doc) -> np.ndarray:
-        return self.features(query, doc).as_array()
+    def feature_array(self, doc_id: str, q, d) -> np.ndarray:
+        return self.features(doc_id, q, d).as_array()

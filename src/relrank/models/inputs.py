@@ -1,89 +1,96 @@
-"""Per-pair inputs assembled once and consumed by any scorer, and the
-padded batch that scores many of them in one pass."""
+"""Model inputs: one per query and one per document, built once and shared
+by every pair that reads them, the pair that joins two of them, and the
+padded batch that scores many pairs in one pass."""
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ..embeddings import EmbeddingMatrix, exact_match_keys
-from ..text import IdfTable, ProcessedDocument, ProcessedQuery
+from ..embeddings import EmbeddingMatrix
+from ..text import OOV_ID, IdfTable
+from .features import ExtraFeatureBuilder
 
 
-class KeyCodes(dict):
-    """Exact-match key -> int code, filled on first lookup.
+@dataclass(eq=False)
+class SideInput:
+    """One query's or one document's per-term inputs; its arrays are
+    read-only, as every pair that holds the side shares them."""
 
-    A code is the key's CRC-32 (of its ``repr``) shifted left by 16 bits,
-    plus the number of earlier keys of this table with the same CRC: equal
-    codes mean equal keys, and ``code >> 16`` is the CRC that the hashed
-    one-hots fold into their width.  Each distinct key is hashed once per
-    table; a ``PairBuilder`` keeps one for all its pairs.
+    ids: np.ndarray    # (n,) term ids; OOV_ID for a query term outside the vocabulary
+    rows: np.ndarray   # (n,) embedding-matrix row indices
+    emb: np.ndarray    # (n, dim) pre-trained vectors
+    crcs: np.ndarray   # (n,) CRC-32 of each term's exact-match key
+    idf: np.ndarray | None  # (n,) a query's IDF values; None for a document
+
+    def __post_init__(self):
+        for values in (self.ids, self.rows, self.emb, self.crcs, self.idf):
+            if values is not None:
+                values.flags.writeable = False
+
+    @cached_property
+    def terms(self) -> set:
+        """The distinct term ids, as the extra features read a document."""
+        return set(self.ids.tolist())
+
+    @cached_property
+    def bigrams(self) -> set:
+        """The distinct pairs of adjacent term ids."""
+        ids = self.ids.tolist()
+        return set(zip(ids, ids[1:]))
+
+
+def side_input(terms, emb: EmbeddingMatrix, id_crcs: dict, tokens,
+               idf: IdfTable | None) -> SideInput:
+    """The inputs of a query's ``terms``, with its ``tokens`` and the
+    ``idf`` table, or of a document's, with None for both.
+
+    A term's CRC is that of its key ``("id", tid)``, taken from ``id_crcs``
+    (term id -> CRC, filled on first lookup, so each distinct id is hashed
+    once per table).  A query term outside the vocabulary is keyed by its
+    surface token, ``("oov", token)``: unseen tokens never equal a document
+    term, and a repeated one keeps its slot among the hashed one-hots.
     """
+    crcs = []
+    for i, tid in enumerate(terms):
+        if tokens is not None and tid == OOV_ID:
+            crcs.append(_crc(("oov", tokens[i] if i < len(tokens) else f"\x00{i}")))
+            continue
+        if tid not in id_crcs:
+            id_crcs[tid] = _crc(("id", tid))
+        crcs.append(id_crcs[tid])
+    ids = np.asarray(terms, dtype=np.int64)
+    rows = emb.resolve(ids)
+    return SideInput(ids, rows, emb.rows[rows], np.array(crcs, dtype=np.int64),
+                     None if idf is None else idf.for_terms(terms))
 
-    def __init__(self):
-        super().__init__()
-        self._crcs: dict[int, int] = {}  # CRC -> keys seen with it
 
-    def __missing__(self, key) -> int:
-        crc = zlib.crc32(repr(key).encode("utf-8"))
-        rank = self._crcs.get(crc, 0)
-        self._crcs[crc] = rank + 1
-        code = self[key] = crc << 16 | rank
-        return code
-
-    def codes(self, keys) -> np.ndarray:
-        return np.fromiter(map(self.__getitem__, keys), dtype=np.int64,
-                           count=len(keys))
+def _crc(key) -> int:
+    return zlib.crc32(repr(key).encode("utf-8"))
 
 
 @dataclass
 class PairInput:
-    """Everything a scorer may need for one query-document pair."""
+    """One query-document pair: its two sides' shared inputs and its own
+    extra features."""
 
     query_id: str
     doc_id: str
-    q_emb: np.ndarray    # (n, dim) pre-trained vectors
-    d_emb: np.ndarray    # (m, dim)
-    q_idf: np.ndarray    # (n,)
-    q_rows: np.ndarray   # (n,) embedding-matrix row indices
-    d_rows: np.ndarray   # (m,)
-    q_keys: list         # exact-match equality keys
-    d_keys: list
+    q: SideInput
+    d: SideInput
     extra: np.ndarray | None = None  # (4,) extra features when enabled
-    key_codes: KeyCodes | None = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The query's and the document's keys as codes of ``key_codes`` (a
-        table of their own when None), coded on first read: only the
-        exact-match view reads them."""
-        table = KeyCodes() if self.key_codes is None else self.key_codes
-        return table.codes(self.q_keys), table.codes(self.d_keys)
 
 
-def build_pair_input(query: ProcessedQuery, doc: ProcessedDocument,
-                     emb: EmbeddingMatrix, idf: IdfTable,
-                     extra: np.ndarray | None = None,
-                     key_codes: KeyCodes | None = None) -> PairInput:
-    q_rows = emb.resolve(query.terms)
-    d_rows = emb.resolve(doc.terms)
-    q_keys, d_keys = exact_match_keys(query, doc)
-    return PairInput(
-        query_id=query.query_id,
-        doc_id=doc.doc_id,
-        q_emb=emb.rows[q_rows],
-        d_emb=emb.rows[d_rows],
-        q_idf=idf.for_terms(query.terms),
-        q_rows=q_rows,
-        d_rows=d_rows,
-        q_keys=q_keys,
-        d_keys=d_keys,
-        extra=extra,
-        key_codes=key_codes,
-    )
+def build_pair_input(query_id: str, doc_id: str, q: SideInput, d: SideInput,
+                     features: ExtraFeatureBuilder | None) -> PairInput:
+    """Join a query's and a document's inputs.  With ``features`` (the
+    query's ``ExtraFeatureBuilder``, or None), the pair's extra features,
+    the one part that reads both sides, are computed here."""
+    extra = None if features is None else features.feature_array(doc_id, q, d)
+    return PairInput(query_id, doc_id, q, d, extra)
 
 
 class PairBatch:
@@ -93,8 +100,8 @@ class PairBatch:
 
     def __init__(self, pairs: list[PairInput]):
         self.pairs = list(pairs)
-        self.q_mask = _mask([len(p.q_emb) for p in self.pairs])
-        self.d_mask = _mask([len(p.d_emb) for p in self.pairs])
+        self.q_mask = _mask([len(p.q.ids) for p in self.pairs])
+        self.d_mask = _mask([len(p.d.ids) for p in self.pairs])
 
     def mask(self, side: str) -> np.ndarray:
         return self.q_mask if side == "q" else self.d_mask
@@ -102,10 +109,10 @@ class PairBatch:
     def pad(self, side: str, values, fill=0) -> np.ndarray:
         """One array per pair, its first axis along the side, laid onto the
         side's mask with ``fill`` in the padding: (B, longest, ...).
-        ``values`` is the list, or a field of the side (``"emb"`` reads
-        each pair's ``q_emb`` or ``d_emb``)."""
+        ``values`` is the list, or the name of a :class:`SideInput` field
+        (``"emb"`` reads each pair's ``q.emb`` or ``d.emb``)."""
         if isinstance(values, str):
-            values = [getattr(p, f"{side}_{values}") for p in self.pairs]
+            values = [getattr(getattr(p, side), values) for p in self.pairs]
         mask = self.mask(side)
         packed = np.concatenate(values)
         out = np.full(mask.shape + packed.shape[1:], fill, dtype=packed.dtype)

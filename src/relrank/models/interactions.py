@@ -144,26 +144,28 @@ def max_kmax_pool(scores: Tensor, k: int, mask=None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def equality_matrix(q_codes: np.ndarray, d_codes: np.ndarray) -> np.ndarray:
-    """{0,1} matrix of exact key equality, (..., n) and (..., m) key codes
-    (``PairInput.codes``, -1 in a padded batch's padding) to (..., n, m);
-    the cosine matrix of one-hots.  Padding matches nothing."""
-    q = q_codes[..., :, None]
-    return ((q == d_codes[..., None, :]) & (q >= 0)).astype(np.float64)
+def equality_matrix(q_ids: np.ndarray, d_ids: np.ndarray) -> np.ndarray:
+    """{0,1} matrix of term-id equality, (..., n) and (..., m) term ids to
+    (..., n, m); the cosine matrix of one-hots.  A query term outside the
+    vocabulary (OOV_ID, -1) and a padded batch's padding (-1) match
+    nothing."""
+    q = q_ids[..., :, None]
+    return ((q == d_ids[..., None, :]) & (q >= 0)).astype(np.float64)
 
 
-def hashed_match_vectors(q_codes: np.ndarray, d_codes: np.ndarray, width: int):
-    """Exact-match one-hots folded into a fixed width by hashing: a key
-    lands in slot ``crc32(repr(key)) % width``, a padding code in none.
+def hashed_match_vectors(q_crcs: np.ndarray, d_crcs: np.ndarray, width: int):
+    """Exact-match one-hots folded into a fixed width by hashing: a term
+    lands in slot ``crc % width``, its exact-match key's CRC-32
+    (``SideInput.crcs``), and padding (-1) in none.
 
-    Equal keys always collide onto the same slot; unequal keys may rarely
+    Equal terms always collide onto the same slot; unequal terms may rarely
     collide too, which trades exactness for a width the attention pipeline
     can consume alongside the other views.
     """
     out = []
-    for codes in (q_codes, d_codes):
-        hot = np.zeros(codes.shape + (width,))
-        real = codes >= 0
-        hot[real, (codes[real] >> 16) % width] = 1.0
+    for crcs in (q_crcs, d_crcs):
+        hot = np.zeros(crcs.shape + (width,))
+        real = crcs >= 0
+        hot[real, crcs[real] % width] = 1.0
         out.append(hot)
     return tuple(out)

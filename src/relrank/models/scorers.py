@@ -44,7 +44,7 @@ from ..autodiff import (ParameterSet, Tensor, add_rowvec, concat, einsum,
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError, check_type
 from .components import Mlp, glorot_uniform
-from .inputs import PairBatch, PairInput
+from .inputs import PairBatch, PairInput, SideInput
 from .interactions import (
     attended_match_vectors,
     cosine_attention,
@@ -89,24 +89,23 @@ class Scorer:
             self.params.add(name, tensor)
         return module
 
-    def _vectors(self, frozen: np.ndarray, rows: np.ndarray) -> Tensor:
-        return Tensor(frozen) if self.emb is None else gather_rows(self.emb, rows)
+    def _vectors(self, side: SideInput) -> Tensor:
+        return Tensor(side.emb) if self.emb is None else gather_rows(self.emb, side.rows)
 
     def _padded_vectors(self, batch: PairBatch, side: str) -> Tensor:
         """One side's embedding vectors, (B, n, dim), zeros in the padding."""
         if self.emb is None:
             return Tensor(batch.pad(side, "emb"))
-        return pad([gather_rows(self.emb, getattr(p, f"{side}_rows"))
-                    for p in batch.pairs], batch.mask(side).shape[1])
+        return pad([self._vectors(getattr(p, side)) for p in batch.pairs],
+                   batch.mask(side).shape[1])
 
     def view(self, name: str, batch: PairBatch, contexts):
         """One view of a batch as padded (query side, document side): the
         ``context`` encodings (``contexts``, from :meth:`contexts`), raw
-        ``embedding`` vectors, or ``exact``-match key codes (-1 in the
-        padding)."""
+        ``embedding`` vectors, or the term ids that the ``exact``-match view
+        compares (-1 in the padding)."""
         if name == "exact":
-            return tuple(batch.pad(side, [p.codes[i] for p in batch.pairs], -1)
-                         for i, side in enumerate("qd"))
+            return batch.pad("q", "ids", -1), batch.pad("d", "ids", -1)
         if name == "context":
             return tuple(pad([c[i] for c in contexts], batch.mask(side).shape[1])
                          for i, side in enumerate("qd"))
@@ -131,11 +130,11 @@ class Scorer:
         fresh = {}
         keys = []
         for pair in pairs:
-            for key, frozen, rows in ((("q", pair.query_id), pair.q_emb, pair.q_rows),
-                                      (("d", pair.doc_id), pair.d_emb, pair.d_rows)):
+            for key, side in ((("q", pair.query_id), pair.q),
+                              (("d", pair.doc_id), pair.d)):
                 key = len(keys) if drop else key
                 if key not in encoded and key not in fresh:
-                    fresh[key] = self._vectors(frozen, rows)
+                    fresh[key] = self._vectors(side)
                 keys.append(key)
         encoded.update(zip(fresh, self.encoder.encode_batch(
             list(fresh.values()), dropout_rng)))
@@ -190,7 +189,7 @@ class Scorer:
         per bucket of documents within a factor 2 in length
         (:func:`length_buckets`): the views pad every document to the
         longest, and so the padding never outgrows the real terms."""
-        buckets = length_buckets([len(p.d_emb) for p in pairs])
+        buckets = length_buckets([len(p.d.ids) for p in pairs])
         scores = []
         for idx in buckets:
             batch = PairBatch([pairs[i] for i in idx])
@@ -282,11 +281,11 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
         from ..autodiff import conv2d
 
         pairs = batch.pairs
-        nq = np.minimum([len(p.q_emb) for p in pairs], max_query_terms)
-        nd = np.minimum([len(p.d_emb) for p in pairs], max_doc_terms)
+        nq = np.minimum([len(p.q.ids) for p in pairs], max_query_terms)
+        nd = np.minimum([len(p.d.ids) for p in pairs], max_doc_terms)
         # Each pair's matrix is zero past its real block, so the stack's
         # top-left corner holds every block with zeros around it.
-        sims = np.stack([sim_matrix(p.q_emb, p.d_emb, max_query_terms,
+        sims = np.stack([sim_matrix(p.q.emb, p.d.emb, max_query_terms,
                                     max_doc_terms)[:, :nd.max() + k]
                          for p in pairs])
         blocks = sims[:, :nq.max(), :nd.max()]
@@ -300,7 +299,7 @@ def _conv_rows(model: Scorer, rng, max_query_terms: int, max_doc_terms: int,
             pooled = conv2d(x, w, b).relu().max(axis=1).kmax(k)
             feats.append(pooled[np.arange(len(pairs))[:, None], np.minimum(
                 np.arange(max_query_terms), heights[:, None] - 1)])
-        feats.append(Tensor(np.stack([softmax_idf(p.q_idf, max_query_terms)
+        feats.append(Tensor(np.stack([softmax_idf(p.q.idf, max_query_terms)
                                       for p in pairs])[..., None]))
         return concat(feats, axis=-1)
 
@@ -320,8 +319,8 @@ def _drmm(dim: int, rng, buckets: int = 30, hidden=None,
 
     def rows(model, batch, contexts):
         return Tensor(np.log1p(batch.pad("q", [
-            np.stack([drmm_histogram(q_vec, pair.d_emb, edges)
-                      for q_vec in pair.q_emb]) for pair in batch.pairs])))
+            np.stack([drmm_histogram(q_vec, pair.d.emb, edges)
+                      for q_vec in pair.q.emb]) for pair in batch.pairs])))
 
     if hidden is None:
         hidden = (buckets, buckets)
@@ -365,11 +364,13 @@ def _attention(views):
         def rows(model, batch, contexts):
             phi = None
             for view in views:
-                q, d = model.view(view, batch, contexts)
+                if view == "exact":  # hashed one-hots of the terms' CRCs
+                    q, d = (Tensor(v) for v in hashed_match_vectors(
+                        batch.pad("q", "crcs", -1), batch.pad("d", "crcs", -1), width))
+                else:
+                    q, d = model.view(view, batch, contexts)
                 if view == "embedding":  # duplicated to the encodings' width
                     q, d = concat([q, q], axis=-1), concat([d, d], axis=-1)
-                elif view == "exact":  # hashed one-hots
-                    q, d = (Tensor(v) for v in hashed_match_vectors(q, d, width))
                 signature = attended_match_vectors(q, d, batch.d_mask)
                 phi = signature if phi is None else phi + signature
             return phi

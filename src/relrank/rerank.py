@@ -1,8 +1,9 @@
 """Pair assembly and candidate re-scoring.
 
 ``PairBuilder`` turns (query_id, doc_id) into the model input bundle,
-attaching the per-query extra features when asked, and gives all its
-pairs one exact-match key table, so each distinct key is hashed once.
+attaching the per-query extra features when asked.  It builds each query's
+and each document's inputs once, on first use, and a pair only joins the
+two, so every pair that reads a document shares its vectors.
 ``rerank_candidates`` scores whole candidate lists with frozen
 parameters, one ``Scorer.score_batch`` call per list (the path
 training's minibatches take too): one padded pass, or one per bucket of
@@ -20,8 +21,8 @@ from __future__ import annotations
 from .autodiff import no_grad
 from .embeddings import EmbeddingMatrix
 from .errors import ConfigError, DataError
-from .models import (ExtraFeatureBuilder, KeyCodes, PairBatch, PairInput, Scorer,
-                     build_pair_input)
+from .models import (ExtraFeatureBuilder, PairBatch, PairInput, Scorer, SideInput,
+                     build_pair_input, side_input)
 from .models.interactions import cosine_attention, equality_matrix
 from .text import IdfTable, ProcessedDocument, ProcessedQuery
 from .trec import RankedList, ranked_list_from_scores
@@ -45,7 +46,8 @@ class PairBuilder:
         self.with_extra = with_extra
         self._extra: dict[str, ExtraFeatureBuilder] = {}
         self._pairs: dict[tuple[str, str], PairInput] = {}
-        self._key_codes = KeyCodes()
+        self._sides: dict[tuple[str, str], SideInput] = {}  # ("q" | "d", id)
+        self.id_crcs: dict[int, int] = {}  # term id -> exact-match CRC
 
     def query(self, query_id: str) -> ProcessedQuery:
         try:
@@ -63,20 +65,29 @@ class PairBuilder:
         if query_id not in self._extra:
             if query_id not in self.candidates:
                 raise DataError(f"no candidate list for query {query_id!r}")
-            self._extra[query_id] = ExtraFeatureBuilder(
-                self.candidates[query_id], self.idf)
+            self._extra[query_id] = ExtraFeatureBuilder(self.candidates[query_id])
         return self._extra[query_id]
+
+    def side(self, side: str, item_id: str) -> SideInput:
+        """A query's (``"q"``) or a document's (``"d"``) inputs, built on
+        first use."""
+        key = (side, item_id)
+        if key not in self._sides:
+            if side == "q":
+                query = self.query(item_id)
+                self._sides[key] = side_input(query.terms, self.emb, self.id_crcs,
+                                              query.tokens, self.idf)
+            else:
+                self._sides[key] = side_input(self.document(item_id).terms,
+                                              self.emb, self.id_crcs, None, None)
+        return self._sides[key]
 
     def pair(self, query_id: str, doc_id: str) -> PairInput:
         key = (query_id, doc_id)
         if key not in self._pairs:
-            query = self.query(query_id)
-            doc = self.document(doc_id)
-            extra = None
-            if self.with_extra:
-                extra = self._extra_builder(query_id).feature_array(query, doc)
-            self._pairs[key] = build_pair_input(query, doc, self.emb, self.idf,
-                                                extra, self._key_codes)
+            q, d = self.side("q", query_id), self.side("d", doc_id)
+            features = self._extra_builder(query_id) if self.with_extra else None
+            self._pairs[key] = build_pair_input(query_id, doc_id, q, d, features)
         return self._pairs[key]
 
 
@@ -114,9 +125,10 @@ def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,
     if doc_budget < 1:
         raise ConfigError(f"document budget must be >= 1, got {doc_budget}")
     query = builder.query(query_id)
-    doc = builder.document(doc_id)
-    truncated = ProcessedDocument(doc.doc_id, doc.terms[:doc_budget], doc.date)
-    pair = build_pair_input(query, truncated, builder.emb, builder.idf)
+    truncated = side_input(builder.document(doc_id).terms[:doc_budget],
+                           builder.emb, builder.id_crcs, None, None)
+    pair = build_pair_input(query_id, doc_id, builder.side("q", query_id),
+                            truncated, None)
     batch = PairBatch([pair])
     with no_grad():
         contexts = model.contexts([pair])
@@ -129,7 +141,7 @@ def inspect_interactions(model: Scorer, builder: PairBuilder, query_id: str,
         "query_id": query_id,
         "doc_id": doc_id,
         "query_terms": list(query.tokens),
-        "doc_terms_shown": len(truncated.terms),
+        "doc_terms_shown": len(truncated.ids),
         "views": {
             "context": context_view.tolist(),
             "embedding": embedding_view.tolist(),

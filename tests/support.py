@@ -1,13 +1,14 @@
 """Shared plumbing for the test suites."""
 
 import json
+import zlib
 from pathlib import Path
 
 import numpy as np
 
 from relrank.autodiff import grad_check
 from relrank.embeddings import align_embeddings, read_word2vec, write_word2vec_binary
-from relrank.models import KeyCodes, PairInput
+from relrank.models import PairInput, SideInput
 from relrank.rerank import PairBuilder
 from relrank.synthetic import generate_world, write_world
 from relrank.text import ProcessedDocument, ProcessedQuery, Vocabulary, compute_idf
@@ -15,22 +16,31 @@ from relrank.training import TrainData
 from relrank.trec import Qrels, ranked_list_from_scores
 
 
+def side(ids, emb, idf=None, rows=None):
+    """A side input built by hand: term ``ids`` with the CRCs of their keys
+    ``("id", t)``, and the vectors ``emb`` (embedding rows ``rows``, by
+    default 0 to n - 1)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    crcs = [zlib.crc32(repr(("id", t)).encode("utf-8")) for t in ids.tolist()]
+    return SideInput(ids, np.arange(len(ids)) if rows is None else rows,
+                     np.asarray(emb, dtype=np.float64),
+                     np.array(crcs, dtype=np.int64), idf)
+
+
+def reorder(side, order):
+    """A side input with its terms taken in ``order``."""
+    return SideInput(side.ids[order], side.rows[order], side.emb[order],
+                     side.crcs[order], None if side.idf is None else side.idf[order])
+
+
 def make_pair(rng, n, m, dim, extra=False):
     """Random frozen-embedding pair with n query and m document terms."""
     q_emb = rng.standard_normal((n, dim))
     d_emb = rng.standard_normal((m, dim))
     q_idf = rng.uniform(0.2, 3.0, n)
-    q_keys = [("id", i) for i in range(n)]
-    d_keys = [("id", int(t)) for t in rng.integers(0, n + 2, m)]
-    return PairInput("q", "d", q_emb, d_emb, q_idf,
-                     np.arange(n), np.arange(m), q_keys, d_keys,
+    d_ids = rng.integers(0, n + 2, m)
+    return PairInput("q", "d", side(np.arange(n), q_emb, q_idf), side(d_ids, d_emb),
                      extra=rng.standard_normal(4) if extra else None)
-
-
-def coded(q_keys, d_keys):
-    """Both sides' exact-match keys coded by one table, as a pair's are."""
-    table = KeyCodes()
-    return table.codes(q_keys), table.codes(d_keys)
 
 
 def jitter_zero_params(model, rng, scale=0.1):

@@ -13,18 +13,17 @@ from dataclasses import replace
 
 import numpy as np
 
-from support import (coded, jitter_zero_params, make_pair, make_workspace,
-                     model_grad_check, zero_encoder)
+from support import (jitter_zero_params, make_pair, make_workspace,
+                     model_grad_check, reorder, zero_encoder)
 
 from relrank.autodiff import Tensor
 from relrank.cli import main as cli_main
-from relrank.embeddings import load_embeddings
+from relrank.embeddings import EmbeddingMatrix, load_embeddings
 from relrank.evaluation import (average_precision, evaluate_run, ndcg_at_k,
                                 precision_at_k, stratified_shuffle_test)
 from relrank.index import (B_DEFAULT, K1_DEFAULT, build_index, oracle_rerank,
                            retrieve_topn)
 from relrank.models import build_model
-from relrank.models.features import ExtraFeatureBuilder
 from relrank.models.interactions import (attended_match_vectors,
                                          cosine_attention, drmm_histogram,
                                          equality_matrix, histogram_edges,
@@ -271,15 +270,16 @@ class TestOracleEquivalences:
             d_terms = [int(t) for t in rng.integers(0, 6, int(rng.integers(1, 12)))]
             docs = [ProcessedDocument("d0", d_terms)]
             idf = compute_idf(docs, 6)
-            builder = ExtraFeatureBuilder(
-                ranked_list_from_scores("q", [("d0", 1.0)]), idf)
-            query = ProcessedQuery("q", q_terms, [str(t) for t in q_terms])
-            feats = builder.features(query, docs[0])
+            builder = PairBuilder(
+                [ProcessedQuery("q", q_terms, [str(t) for t in q_terms])], docs,
+                {"q": ranked_list_from_scores("q", [("d0", 1.0)])},
+                EmbeddingMatrix(np.zeros((7, 2)), covered=6), idf, with_extra=True)
+            bigram_overlap = builder.pair("q", "d0").extra[3]
             doc_bigrams = set(zip(d_terms, d_terms[1:]))
             hits = sum(1 for pair in zip(q_terms, q_terms[1:])
                        if pair in doc_bigrams)
             expected = hits / (nq - 1) if nq > 1 else 0.0
-            if feats.bigram_overlap != expected:
+            if bigram_overlap != expected:
                 failures.append("bigram")
 
         bad = sorted(set(failures))
@@ -362,9 +362,7 @@ class TestInvarianceSuite:
                 zero_encoder(model)
             pair = make_pair(rng, n, m, dim)
             perm = rng.permutation(m)
-            shuffled = replace(pair, d_emb=pair.d_emb[perm],
-                               d_rows=pair.d_rows[perm],
-                               d_keys=[pair.d_keys[p] for p in perm])
+            shuffled = replace(pair, d=reorder(pair.d, perm))
             a = float(model.score(pair).data)
             b = float(model.score(shuffled).data)
             slack = 0.0 if name == "drmm" else 1e-12 * max(1.0, abs(a), abs(b))
@@ -400,9 +398,9 @@ class TestInvarianceSuite:
         # The exact-match view is strictly binary.
         for _ in range(1000):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 10))
-            q_keys = [("id", int(t)) for t in rng.integers(0, 4, n)]
-            d_keys = [("id", int(t)) for t in rng.integers(0, 4, m)]
-            matrix = equality_matrix(*coded(q_keys, d_keys))
+            q_ids = rng.integers(0, 4, n)
+            d_ids = rng.integers(0, 4, m)
+            matrix = equality_matrix(q_ids, d_ids)
             if not set(np.unique(matrix)) <= {0.0, 1.0}:
                 violations["binary"] += 1
 

@@ -2,8 +2,6 @@
 the same bits alone as inside any batch, padding never wins a max or takes
 attention or gate mass, and a batch's gradients are the sum of its pairs'."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from relrank.embeddings import EmbeddingMatrix
 from relrank.models import BASELINE, PairBatch, PairInput, build_model, model_names, scorers
 from relrank.models.scorers import length_buckets
 from relrank.models.interactions import attended_match_vectors, max_kmax_pool
-from support import jitter_zero_params
+from support import jitter_zero_params, side
 
 DIM = 3
 ENCODER_MODELS = ("attn-drmm", "attn-drmm-mv", "pooled-drmm", "pooled-drmm-mv")
@@ -50,10 +48,10 @@ def build(name, extra, trainable, matrix, seed=0):
 
 def vocab_pair(rng, matrix, query_id, doc_id, q_rows, d_rows):
     """A pair whose vectors are the matrix rows it names, keyed by row."""
-    return PairInput(query_id, doc_id, matrix.rows[q_rows], matrix.rows[d_rows],
-                     rng.uniform(0.2, 3.0, len(q_rows)), q_rows, d_rows,
-                     [("id", int(r)) for r in q_rows],
-                     [("id", int(r)) for r in d_rows],
+    q_idf = rng.uniform(0.2, 3.0, len(q_rows))
+    return PairInput(query_id, doc_id,
+                     side(q_rows, matrix.rows[q_rows], q_idf, rows=q_rows),
+                     side(d_rows, matrix.rows[d_rows], rows=d_rows),
                      extra=rng.standard_normal(4))
 
 
@@ -98,7 +96,7 @@ def test_a_pair_scores_the_same_bits_alone_and_in_any_batch(name, extra,
 def test_batch_gradients_are_the_sum_of_per_pair_gradients(name, extra,
                                                            trainable):
     matrix, pairs = world(seed=3)
-    pairs = [p for p in pairs if len(p.d_emb) <= 16]
+    pairs = [p for p in pairs if len(p.d.emb) <= 16]
     model = build(name, extra, trainable, matrix, seed=4)
     weights = np.random.default_rng(5).standard_normal(len(pairs))
     model.params.zero_grad()
@@ -126,7 +124,7 @@ def test_one_padded_pass_makes_a_fixed_number_of_tensors(monkeypatch, name):
         original(self, *args, **kwargs)
 
     matrix, pairs = world(seed=6)
-    pairs = [p for p in pairs if len(p.d_emb) >= 127]
+    pairs = [p for p in pairs if len(p.d.emb) >= 127]
     model = build(name, True, False, matrix)
     contexts = model.contexts(pairs)
     monkeypatch.setattr(Tensor, "__init__", counted)
@@ -155,7 +153,7 @@ def test_a_batch_makes_one_padded_pass_per_length_bucket(monkeypatch):
     model = build("pooled-drmm-mv", False, False, matrix)
     monkeypatch.setattr(scorers, "PairBatch", Recorded)
     model.score_batch(pairs)
-    lengths = sorted(len(p.d_emb) for p in pairs)
+    lengths = sorted(len(p.d.emb) for p in pairs)
     assert sorted(set(lengths)) == [1, 2, 3, 16, 127, 129, 200]
     assert passes == [lengths[:8], lengths[8:9], lengths[9:13], lengths[13:]]
 
@@ -197,8 +195,8 @@ class TestPaddingTakesNothing:
     def test_padded_query_terms_take_no_gate_mass(self):
         matrix, pairs = world(seed=9)
         model = build("drmm", False, False, matrix)
-        short = next(p for p in pairs if len(p.q_emb) == 1)
-        long_ = next(p for p in pairs if len(p.q_emb) == 5)
+        short = next(p for p in pairs if len(p.q.emb) == 1)
+        long_ = next(p for p in pairs if len(p.q.emb) == 5)
         # The short query's gate inputs, padded to 5 terms, would give the
         # padding most of the mass if it were not masked.
         model.params["gate.w"].data[:] = -10.0
@@ -213,5 +211,3 @@ def test_score_of_one_pair_is_its_batch_of_one():
     score = model.score(pair)
     assert score.shape == ()
     assert score.data == model.score_batch([pair]).data[0]
-    moved = replace(pair, d_keys=pair.d_keys[::-1])
-    np.testing.assert_array_equal(moved.codes[1], pair.codes[1][::-1])

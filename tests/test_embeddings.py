@@ -1,15 +1,14 @@
-"""Tests for word2vec IO, vocabulary alignment, and exact-match keys."""
+"""Tests for word2vec IO, vocabulary alignment, and the exact-match view."""
 
 import logging
 
 import numpy as np
 import pytest
-from support import coded
 
 from relrank.embeddings import (
     EmbeddingFormatError,
+    EmbeddingMatrix,
     align_embeddings,
-    exact_match_keys,
     load_embeddings,
     read_word2vec,
     read_word2vec_binary,
@@ -18,6 +17,7 @@ from relrank.embeddings import (
     write_word2vec_text,
 )
 from relrank.errors import ConfigError, DataError
+from relrank.models import side_input
 from relrank.models.interactions import equality_matrix, hashed_match_vectors
 from relrank.text import OOV_ID, ProcessedDocument, ProcessedQuery, Vocabulary
 
@@ -168,9 +168,18 @@ class TestAlignment:
         np.testing.assert_allclose(got[3], matrix[7])
 
 
+def sides(query, doc):
+    """The query's and the document's inputs, as a PairBuilder builds them."""
+    emb, table = EmbeddingMatrix(np.zeros((8, 2)), covered=7), {}
+    return (side_input(query.terms, emb, table, query.tokens, None),
+            side_input(doc.terms, emb, table, None, None))
+
+
 def exact_view(query, doc):
-    """The exact-match view the models read: key equality, as a 0/1 matrix."""
-    return equality_matrix(*coded(*exact_match_keys(query, doc)))
+    """The exact-match view the models read: term-id equality, as a 0/1
+    matrix."""
+    q, d = sides(query, doc)
+    return equality_matrix(q.ids, d.ids)
 
 
 class TestExactMatchView:
@@ -182,8 +191,8 @@ class TestExactMatchView:
     def test_repeated_terms_identical(self):
         q = ProcessedQuery("q", [0, 0], ["a", "a"])
         d = ProcessedDocument("d", [1, 0])
-        q_keys, _ = exact_match_keys(q, d)
-        assert q_keys[0] == q_keys[1]
+        q_side, _ = sides(q, d)
+        assert q_side.crcs[0] == q_side.crcs[1]
         sim = exact_view(q, d)
         np.testing.assert_array_equal(sim[0], sim[1])
 
@@ -203,16 +212,17 @@ class TestExactMatchView:
         d = ProcessedDocument("d", [0, 1])
         sim = exact_view(q, d)
         np.testing.assert_array_equal(sim[0], [0.0, 0.0])
-        # Same unseen token twice -> same key.
-        q_keys, _ = exact_match_keys(q, d)
-        assert q_keys[0] == q_keys[1]
+        # Same unseen token twice -> same key, so the same one-hot slot.
+        q_side, _ = sides(q, d)
+        assert q_side.crcs[0] == q_side.crcs[1]
         np.testing.assert_array_equal(sim[2], [1.0, 0.0])
 
     def test_one_hot_shape_and_norm(self):
         # The attention models fold the keys into hashed one-hots.
         q = ProcessedQuery("q", [0, 1], ["a", "b"])
         d = ProcessedDocument("d", [1, 2, 2])
-        qv, dv = hashed_match_vectors(*coded(*exact_match_keys(q, d)), 6)
+        q_side, d_side = sides(q, d)
+        qv, dv = hashed_match_vectors(q_side.crcs, d_side.crcs, 6)
         assert qv.shape == (2, 6) and dv.shape == (3, 6)
         np.testing.assert_array_equal(np.linalg.norm(qv, axis=1), 1.0)
         np.testing.assert_array_equal(np.linalg.norm(dv, axis=1), 1.0)

@@ -1,8 +1,10 @@
 """Tests for the interaction signals feeding the scorers."""
 
+import zlib
+
 import numpy as np
 import pytest
-from support import coded
+from support import side
 
 from relrank.autodiff import Tensor, grad_check, stack
 from relrank.errors import ConfigError
@@ -20,6 +22,7 @@ from relrank.models.interactions import (
     softmax_idf,
     term_gate,
 )
+from relrank.text import OOV_ID
 
 
 def unit_vec(cos):
@@ -126,8 +129,7 @@ class TestTermGate:
     def test_gate_feature_modes(self):
         emb = np.arange(6.0).reshape(2, 3)
         idf = np.array([0.5, 1.5])
-        pair = PairInput("q", "d", emb, emb, idf, np.arange(2), np.arange(2),
-                         [], [])
+        pair = PairInput("q", "d", side([0, 1], emb, idf), side([0, 1], emb))
 
         def gate_inputs(mode):
             model = build_model("drmm", 3, np.random.default_rng(0),
@@ -325,17 +327,21 @@ class TestPooling:
             np.testing.assert_array_equal(got_in.grad, want_in.grad)
 
 
+def crc(key):
+    return zlib.crc32(repr(key).encode("utf-8"))
+
+
 class TestExactMatchSignals:
     def test_equality_matrix(self):
-        q = [("id", 1), ("id", 2), ("oov", "x")]
-        d = [("id", 2), ("id", 3), ("id", 2)]
-        got = equality_matrix(*coded(q, d))
+        q = np.array([1, 2, OOV_ID])
+        d = np.array([2, 3, 2])
+        got = equality_matrix(q, d)
         np.testing.assert_array_equal(got, [[0, 0, 0], [1, 0, 1], [0, 0, 0]])
 
     def test_hashed_vectors_preserve_equality(self):
-        q = [("id", 5), ("oov", "zz")]
-        d = [("id", 5), ("id", 6), ("id", 5)]
-        qv, dv = hashed_match_vectors(*coded(q, d), 16)
+        q = [crc(("id", 5)), crc(("oov", "zz"))]
+        d = [crc(("id", 5)), crc(("id", 6)), crc(("id", 5))]
+        qv, dv = hashed_match_vectors(np.array(q), np.array(d), 16)
         assert qv.shape == (2, 16) and dv.shape == (3, 16)
         np.testing.assert_array_equal(qv.sum(axis=1), 1.0)
         np.testing.assert_array_equal(dv.sum(axis=1), 1.0)
@@ -343,7 +349,7 @@ class TestExactMatchSignals:
         assert qv[0] @ dv[0] == 1.0
 
     def test_hashed_vectors_deterministic(self):
-        keys = [("id", k) for k in range(40)]
-        a, _ = hashed_match_vectors(*coded(keys, []), 8)
-        b, _ = hashed_match_vectors(*coded(keys, []), 8)
+        crcs = np.array([crc(("id", k)) for k in range(40)])
+        a, _ = hashed_match_vectors(crcs, np.array([], dtype=np.int64), 8)
+        b, _ = hashed_match_vectors(crcs, np.array([], dtype=np.int64), 8)
         np.testing.assert_array_equal(a, b)

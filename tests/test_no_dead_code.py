@@ -7,10 +7,10 @@ src's own imports: its bare name in its own module, a name bound by
 ``from .m import f`` (followed through package re-exports such as
 ``models/__init__.py``), or ``m.f`` where ``m`` names a src module.  A method
 is matched by name only: it counts when src calls ``obj.method(...)``, and a
-property when src reads ``obj.prop``.  So a local variable that shares a
-method's name does not keep the method alive, nor does a read of a field
-that shares it (``c.score`` of a ``Candidate``), but a call
-``obj.method(...)`` does.  A method whose name a builtin type's method also
+property (``property`` or ``cached_property``) when src reads ``obj.prop``.
+So a local variable that shares a method's name does not keep the method
+alive, nor does a read of a field that shares it (``c.score`` of a
+``Candidate``), but a call ``obj.method(...)`` does.  A method whose name a builtin type's method also
 has (``encode``, ``add``, ``items``) counts only when called from its own
 module or from one that imports from it: elsewhere, as in
 ``text.encode("utf-8")``, the call may be the builtin's.  A reference made
@@ -157,7 +157,7 @@ def _scan(planted=None):
 
 
 def _is_property(method) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "property"
+    return any(isinstance(d, ast.Name) and d.id in ("property", "cached_property")
                or isinstance(d, ast.Attribute) and d.attr == "setter"
                for d in method.decorator_list)
 
@@ -221,3 +221,15 @@ def test_a_builtin_method_call_keeps_no_method_of_its_name_alive():
     user = {**planted, "user": "from .planted import Planted\n\n"
                                "Planted().encode()\n"}
     assert "planted.Planted.encode" not in _unreferenced(user)
+
+
+def test_a_cached_property_counts_when_read():
+    # A cached property is read, never called, as ``property`` is.
+    planted = {"planted": "from functools import cached_property\n\n\n"
+                          "class Planted:\n"
+                          "    @cached_property\n"
+                          "    def bigram_table(self):\n"
+                          "        return set()\n"}
+    assert "planted.Planted.bigram_table" in _unreferenced(planted)
+    read = {"planted": planted["planted"] + "\n\nPlanted().bigram_table\n"}
+    assert "planted.Planted.bigram_table" not in _unreferenced(read)

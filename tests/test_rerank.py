@@ -8,19 +8,27 @@ import pytest
 from relrank.autodiff import Tensor, no_grad
 from relrank.encoder import BiRnnEncoder, LstmCell
 from relrank.errors import ConfigError, DataError
-from relrank.embeddings import OOV_ID
-from relrank.models import (BASELINE, KeyCodes, build_model, build_pair_input,
-                            inputs)
+from relrank.models import BASELINE, build_model, inputs
 from relrank.models.interactions import (cosine_attention, equality_matrix,
                                          hashed_match_vectors)
 from relrank.rerank import PairBuilder, inspect_interactions, rerank_candidates
-from relrank.text import ProcessedDocument, ProcessedQuery
+from relrank.text import OOV_ID, ProcessedDocument, ProcessedQuery
 from relrank.trec import ranked_list_from_scores
 from support import toy_world
 
 
 def world(seed=0, **kw):
     return toy_world(np.random.default_rng(seed), **kw)
+
+
+def shared_document(builder):
+    """A document in two queries' candidate lists, and those queries."""
+    lists = sorted(builder.candidates.items())
+    for doc_id in sorted(builder.documents):
+        owners = [q for q, ranked in lists if doc_id in ranked.doc_ids()]
+        if len(owners) >= 2:
+            return doc_id, owners[:2]
+    raise AssertionError("no document is shared by two lists")
 
 
 class TestPairBuilder:
@@ -61,9 +69,43 @@ class TestPairBuilder:
             builder.pair("stray", "neg0")
 
 
-class TestKeyCodes:
-    """A builder codes each exact-match key once; the hashed one-hots fold
-    a key into slot crc32(repr(key)) % width."""
+    def test_pairs_share_their_query_and_document_inputs(self):
+        builder = world().builder
+        shared, owners = shared_document(builder)
+        a, b = (builder.pair(q, shared) for q in owners)
+        assert np.shares_memory(a.d.emb, b.d.emb)
+        qid = owners[0]
+        first, second = builder.candidates[qid].doc_ids()[:2]
+        assert np.shares_memory(builder.pair(qid, first).q.emb,
+                                builder.pair(qid, second).q.emb)
+        for side in (a.q, a.d):
+            for values in (side.ids, side.rows, side.emb, side.crcs):
+                assert not values.flags.writeable
+        assert not a.q.idf.flags.writeable
+
+    @pytest.mark.parametrize("name", ["pooled-drmm-mv", "attn-drmm-mv"])
+    def test_a_document_first_built_for_another_query_scores_the_same(self, name):
+        builder = world(seed=4, with_extra=True).builder
+        shared, owners = shared_document(builder)
+        model = build_model(name, 4, np.random.default_rng(5), extra_features=True)
+
+        def fresh():
+            return PairBuilder(builder.queries.values(), builder.documents.values(),
+                               builder.candidates, builder.emb, builder.idf,
+                               with_extra=True)
+
+        warm = fresh()
+        first = warm.pair(owners[0], shared)
+        cold_pair, warm_pair = (b.pair(owners[1], shared) for b in (fresh(), warm))
+        assert warm_pair.d is first.d
+        with no_grad():
+            assert model.score(cold_pair).data == model.score(warm_pair).data
+
+
+class TestExactMatchIds:
+    """The exact-match view compares term ids; the hashed one-hots fold a
+    term into slot crc32(repr(key)) % width, its CRC taken from a table
+    that a builder fills once per distinct id."""
 
     def test_slots_are_the_keys_crc_modulo_the_width(self):
         q = ProcessedQuery("q", [3, OOV_ID, 5], ["c", "zzz", "e"])
@@ -71,19 +113,21 @@ class TestKeyCodes:
         data = world()
         builder = PairBuilder([q], [d], {}, data.builder.emb, data.builder.idf)
         pair = builder.pair("q", "d")
-        assert pair.q_keys == [("id", 3), ("oov", "zzz"), ("id", 5)]
+        assert pair.q.ids.tolist() == [3, OOV_ID, 5]
+        q_keys = [("id", 3), ("oov", "zzz"), ("id", 5)]
+        d_keys = [("id", 5), ("id", 3), ("id", 9)]
         for width in (6, 16, 97):
-            qv, dv = hashed_match_vectors(*pair.codes, width)
-            for keys, hot in ((pair.q_keys, qv), (pair.d_keys, dv)):
+            qv, dv = hashed_match_vectors(pair.q.crcs, pair.d.crcs, width)
+            for keys, hot in ((q_keys, qv), (d_keys, dv)):
                 want = [zlib.crc32(repr(key).encode("utf-8")) % width
                         for key in keys]
                 assert hot.argmax(axis=1).tolist() == want
                 np.testing.assert_array_equal(hot.sum(axis=1), 1.0)
         np.testing.assert_array_equal(
-            equality_matrix(*pair.codes),
+            equality_matrix(pair.q.ids, pair.d.ids),
             [[0, 1, 0], [0, 0, 0], [1, 0, 0]])
 
-    def test_each_distinct_key_is_hashed_once_per_builder(self, monkeypatch):
+    def test_each_distinct_id_is_hashed_once_per_builder(self, monkeypatch):
         hashed = []
         original = zlib.crc32
 
@@ -97,32 +141,36 @@ class TestKeyCodes:
         pairs = [builder.pair(qid, did)
                  for qid, ranked in sorted(builder.candidates.items())
                  for did in ranked.doc_ids()]
-        assert not hashed  # keys are coded when the exact view reads them
         distinct = set()
         for pair in pairs:
-            pair.codes
-            distinct |= set(pair.q_keys) | set(pair.d_keys)
+            distinct |= set(pair.q.ids.tolist()) | set(pair.d.ids.tolist())
         assert len(hashed) == len(distinct)
-        assert sorted(hashed) == sorted(repr(k).encode("utf-8") for k in distinct)
+        assert sorted(hashed) == sorted(repr(("id", t)).encode("utf-8")
+                                        for t in distinct)
         fresh = PairBuilder(builder.queries.values(), builder.documents.values(),
                             builder.candidates, builder.emb, builder.idf)
         qid = sorted(builder.candidates)[0]
-        fresh.pair(qid, builder.candidates[qid].doc_ids()[0]).codes
+        fresh.pair(qid, builder.candidates[qid].doc_ids()[0])
         assert len(hashed) > len(distinct)  # its own table, hashed again
 
-    def test_colliding_keys_keep_distinct_codes(self):
+    def test_colliding_unseen_tokens_never_match_and_share_a_slot(self):
         # Two unseen tokens whose keys share a CRC-32: they still never
         # match, and they fold into the same one-hot slot.
         a, b = ("oov", "olbfmjqn"), ("oov", "fomlonrv")
         crc = zlib.crc32(repr(a).encode("utf-8"))
         assert zlib.crc32(repr(b).encode("utf-8")) == crc
-        table = KeyCodes()
-        codes = table.codes([a, b, a])
-        assert codes.tolist() == [crc << 16, crc << 16 | 1, crc << 16]
-        np.testing.assert_array_equal(equality_matrix(codes, codes),
-                                      [[1, 0, 1], [0, 1, 0], [1, 0, 1]])
-        qv, _ = hashed_match_vectors(codes, codes, 50)
-        assert (qv.argmax(axis=1) == crc % 50).all()
+        q = ProcessedQuery("q", [OOV_ID, OOV_ID, 2], [a[1], b[1], "t2"])
+        d = ProcessedDocument("d", [2, 3])
+        data = world()
+        pair = PairBuilder([q], [d], {}, data.builder.emb,
+                           data.builder.idf).pair("q", "d")
+        assert pair.q.crcs[:2].tolist() == [crc, crc]
+        np.testing.assert_array_equal(equality_matrix(pair.q.ids, pair.q.ids),
+                                      [[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(equality_matrix(pair.q.ids, pair.d.ids),
+                                      [[0, 0], [0, 0], [1, 0]])
+        qv, _ = hashed_match_vectors(pair.q.crcs, pair.d.crcs, 50)
+        assert (qv[:2].argmax(axis=1) == crc % 50).all()
 
 
 class TestRerankCandidates:
@@ -271,7 +319,7 @@ class TestBatchedRerank:
             seen.update(new)
             assert len(batch) == 1 + len(new)
             for x, doc_id in zip(batch[1:], new):
-                np.testing.assert_array_equal(x, builder.pair(qid, doc_id).d_emb)
+                np.testing.assert_array_equal(x, builder.pair(qid, doc_id).d.emb)
         assert len(seen) < sum(len(r.entries) for r in lists.values())
 
     def test_one_list_costs_its_longest_sequence_in_steps(self, monkeypatch):
@@ -302,15 +350,14 @@ class TestInspectInteractions:
         qid = "q0"
         did = data.builder.candidates[qid].doc_ids()[0]
         dump = inspect_interactions(model, data.builder, qid, did)
-        pair = build_pair_input(data.builder.query(qid),
-                                data.builder.document(did),
-                                data.builder.emb, data.builder.idf)
+        emb = data.builder.emb
+        q_emb = emb.rows[emb.resolve(data.builder.query(qid).terms)]
+        d_emb = emb.rows[emb.resolve(data.builder.document(did).terms)]
         with no_grad():
-            q_ctx = model.encoder.encode(Tensor(pair.q_emb))
-            d_ctx = model.encoder.encode(Tensor(pair.d_emb))
+            q_ctx = model.encoder.encode(Tensor(q_emb))
+            d_ctx = model.encoder.encode(Tensor(d_emb))
             want_ctx = cosine_attention(q_ctx, d_ctx).data
-            want_emb = cosine_attention(Tensor(pair.q_emb),
-                                        Tensor(pair.d_emb)).data
+            want_emb = cosine_attention(Tensor(q_emb), Tensor(d_emb)).data
         np.testing.assert_allclose(dump["views"]["context"], want_ctx,
                                    atol=1e-12)
         np.testing.assert_allclose(dump["views"]["embedding"], want_emb,

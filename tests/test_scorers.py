@@ -20,7 +20,8 @@ from relrank.models.interactions import (
     sim_matrix,
     softmax_idf,
 )
-from support import jitter_zero_params, make_pair, model_grad_check, zero_encoder
+from support import (jitter_zero_params, make_pair, model_grad_check, reorder, side,
+                     zero_encoder)
 
 
 def softmax_np(z):
@@ -96,10 +97,10 @@ def hist_np(q_vec, d_vecs, edges):
 class TestHistogramDrmm:
     def drmm_np(self, model, pair, buckets):
         edges = histogram_edges(buckets)
-        hists = np.log1p(np.stack([hist_np(q, pair.d_emb, edges)
-                                   for q in pair.q_emb]))
+        hists = np.log1p(np.stack([hist_np(q, pair.d.emb, edges)
+                                   for q in pair.q.emb]))
         rows = mlp_rows_np(hists, model.head.weights, model.head.biases)
-        feats = np.concatenate([pair.q_emb, pair.q_idf[:, None]], axis=1)
+        feats = np.concatenate([pair.q.emb, pair.q.idf[:, None]], axis=1)
         gates = softmax_np(feats @ model.params["gate.w"].data)
         return float(gates @ rows)
 
@@ -110,9 +111,8 @@ class TestHistogramDrmm:
         model.params["mlp.b0"].data[:] = [0.1]
         model.params["gate.w"].data[:] = [2.0]
         e1, e2 = np.eye(2)
-        pair = PairInput("q", "d", np.stack([e1, e2]), np.stack([e1, -e2]),
-                         np.array([0.3, 0.9]), np.arange(2), np.arange(2),
-                         [("id", 0), ("id", 1)], [("id", 0), ("id", 2)])
+        pair = PairInput("q", "d", side([0, 1], np.stack([e1, e2]), np.array([0.3, 0.9])),
+                         side([0, 2], np.stack([e1, -e2])))
         # Counts: q1 sees cosines (1, 0) -> [0, 2]; q2 sees (0, -1) -> [1, 1].
         s1 = math.log1p(2) * -0.25 + 0.1
         s2 = math.log1p(1) * 0.5 + math.log1p(1) * -0.25 + 0.1
@@ -136,9 +136,8 @@ class TestHistogramDrmm:
         rng = np.random.default_rng(3)
         model = build_model("drmm", 3, rng, buckets=5, hidden=(6,))
         pair = make_pair(rng, 3, 9, 3)
-        shuffled = PairInput(pair.query_id, pair.doc_id, pair.q_emb,
-                             pair.d_emb[::-1].copy(), pair.q_idf, pair.q_rows,
-                             pair.d_rows, pair.q_keys, list(reversed(pair.d_keys)))
+        shuffled = PairInput(pair.query_id, pair.doc_id, pair.q,
+                             reorder(pair.d, np.arange(9)[::-1]))
         assert model.score(pair).data == model.score(shuffled).data
 
     def test_deterministic(self):
@@ -184,7 +183,7 @@ class TestConvRowModels:
         return model
 
     def conv_rows_np(self, model, pair):
-        sim = sim_np(pair.q_emb, pair.d_emb, L_Q, L_D)
+        sim = sim_np(pair.q.emb, pair.d.emb, L_Q, L_D)
         blocks = [kmax_np(sim, K)]
         for n in range(2, 4):
             w, b = model.params[f"conv{n}.w"], model.params[f"conv{n}.b"]
@@ -198,7 +197,7 @@ class TestConvRowModels:
                         out[f, i, j] = (np.sum(pad[i:i + n, j:j + n] * w.data[f])
                                         + b.data[f])
             blocks.append(kmax_np(np.maximum(out, 0.0).max(axis=0), K))
-        blocks.append(softidf_np(pair.q_idf, L_Q)[:, None])
+        blocks.append(softidf_np(pair.q.idf, L_Q)[:, None])
         return np.concatenate(blocks, axis=1)
 
     def test_flat_scorer_matches_numpy(self):
@@ -231,18 +230,15 @@ class TestConvRowModels:
         model = self.fixed(rng, "pacrr")
         model.params["dense.w0"].data[:] = 1.0
         model.params["dense.b0"].data[:] = 0.0
-        pair = PairInput("q", "d", np.zeros((2, 3)), np.zeros((4, 3)),
-                         np.array([0.5, 1.5]), np.arange(2), np.arange(4),
-                         [("id", 0), ("id", 1)], [("id", 9)] * 4)
+        pair = PairInput("q", "d", side([0, 1], np.zeros((2, 3)), np.array([0.5, 1.5])),
+                         side([9] * 4, np.zeros((4, 3))))
         np.testing.assert_allclose(model.score(pair).data, 1.0, atol=1e-12)
 
     def test_raw_block_ignores_doc_order(self):
         rng = np.random.default_rng(13)
         model = self.fixed(rng, "pacrr")
         pair = make_pair(rng, 3, 6, 3)
-        flipped = PairInput("q", "d", pair.q_emb, pair.d_emb[::-1].copy(),
-                            pair.q_idf, pair.q_rows, pair.d_rows,
-                            pair.q_keys, list(reversed(pair.d_keys)))
+        flipped = PairInput("q", "d", pair.q, reorder(pair.d, np.arange(6)[::-1]))
         a = model.rows(pair).data[:, :K]
         b = model.rows(flipped).data[:, :K]
         np.testing.assert_array_equal(a, b)
@@ -252,7 +248,7 @@ class TestConvRowModels:
         model = self.fixed(rng, "pacrr", k=1)
         pair = make_pair(rng, 3, 5, 3)
         rows = model.rows(pair).data
-        sim = sim_np(pair.q_emb, pair.d_emb, L_Q, L_D)
+        sim = sim_np(pair.q.emb, pair.d.emb, L_Q, L_D)
         np.testing.assert_allclose(rows[:, 0], sim.max(axis=1), atol=1e-12)
 
     def test_query_order_symmetry_with_uniform_aggregation(self):
@@ -267,9 +263,7 @@ class TestConvRowModels:
         model.params["agg.b"].data[()] = 0.0
         pair = make_pair(rng, 3, 5, 3)
         perm = np.array([2, 0, 1])
-        permuted = PairInput("q", "d", pair.q_emb[perm], pair.d_emb,
-                             pair.q_idf[perm], pair.q_rows, pair.d_rows,
-                             [pair.q_keys[i] for i in perm], pair.d_keys)
+        permuted = PairInput("q", "d", reorder(pair.q, perm), pair.d)
         np.testing.assert_allclose(model.score(pair).data,
                                    model.score(permuted).data, atol=1e-12)
 
@@ -313,7 +307,7 @@ def padded_conv_rows(model, pair, max_q, max_d, max_kernel, k, bias_terms):
     whole zero-padded max_q x max_d cosine matrix.  Backward stores in
     ``bias_terms[n]`` the per-filter sum of |terms| that conv{n}.b's
     gradient adds up."""
-    sim = sim_matrix(pair.q_emb, pair.d_emb, max_q, max_d)
+    sim = sim_matrix(pair.q.emb, pair.d.emb, max_q, max_d)
     feats = [Tensor(sim).kmax(k)]
     for n in range(2, max_kernel + 1):
         top = (n - 1) // 2
@@ -325,7 +319,7 @@ def padded_conv_rows(model, pair, max_q, max_d, max_kernel, k, bias_terms):
             return (g,)
         out = Tensor(out.data, (out,), "tap", tap)
         feats.append(out.relu().max(axis=0).kmax(k))
-    feats.append(Tensor(softmax_idf(pair.q_idf, max_q)[:, None]))
+    feats.append(Tensor(softmax_idf(pair.q.idf, max_q)[:, None]))
     return concat(feats, axis=1)
 
 
@@ -366,9 +360,8 @@ class TestTrimmedConvRows:
     def pair(self, rng, nq, nd, ties):
         pair = make_pair(rng, nq, nd, 3)
         if ties:  # every document vector is one of two
-            d_emb = pair.d_emb[rng.integers(0, min(nd, 2), nd)]
-            pair = PairInput("q", "d", pair.q_emb, d_emb, pair.q_idf,
-                             pair.q_rows, pair.d_rows, pair.q_keys, pair.d_keys)
+            d_emb = pair.d.emb[rng.integers(0, min(nd, 2), nd)]
+            pair = PairInput("q", "d", pair.q, side(pair.d.ids, d_emb))
         return pair
 
     def assert_same(self, model, pair, max_q, max_d, max_kernel, k):
@@ -450,8 +443,8 @@ class TestAttentionDrmm:
         model = build_model("attn-drmm", 3, rng, hidden=(4,))
         zero_encoder(model)
         pair = make_pair(rng, 2, 4, 3)
-        q_ctx = np.concatenate([pair.q_emb, pair.q_emb], axis=1)
-        d_ctx = np.concatenate([pair.d_emb, pair.d_emb], axis=1)
+        q_ctx = np.concatenate([pair.q.emb, pair.q.emb], axis=1)
+        d_ctx = np.concatenate([pair.d.emb, pair.d.emb], axis=1)
         attn = np.stack([softmax_np(q_ctx[i] @ d_ctx.T)
                          for i in range(len(q_ctx))])
         phi = l2n_np(attn @ d_ctx) * l2n_np(q_ctx)
@@ -463,11 +456,7 @@ class TestAttentionDrmm:
         model = build_model("attn-drmm", 3, rng, hidden=(4,))
         zero_encoder(model)
         pair = make_pair(rng, 2, 4, 3)
-        doubled = PairInput("q", "d", pair.q_emb,
-                            np.concatenate([pair.d_emb, pair.d_emb]),
-                            pair.q_idf, pair.q_rows,
-                            np.concatenate([pair.d_rows, pair.d_rows]),
-                            pair.q_keys, pair.d_keys * 2)
+        doubled = PairInput("q", "d", pair.q, reorder(pair.d, np.tile(np.arange(4), 2)))
         np.testing.assert_allclose(model.score(pair).data,
                                    model.score(doubled).data, atol=1e-12)
 
@@ -475,8 +464,8 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(22)
         model = build_model("attn-drmm", 2, rng)
         pair = make_pair(rng, 3, 1, 2)
-        d_ctx = model.encoder.encode(Tensor(pair.d_emb)).data
-        q_ctx = model.encoder.encode(Tensor(pair.q_emb)).data
+        d_ctx = model.encoder.encode(Tensor(pair.d.emb)).data
+        q_ctx = model.encoder.encode(Tensor(pair.q.emb)).data
         expect = l2n_np(np.repeat(d_ctx, 3, axis=0)) * l2n_np(q_ctx)
         got = model.rows(pair).data
         np.testing.assert_allclose(got, expect, atol=1e-12)
@@ -485,8 +474,8 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(23)
         model = build_model("attn-drmm", 3, rng)
         pair = make_pair(rng, 2, 5, 3)
-        context = model.encoder.encode_batch([Tensor(pair.q_emb),
-                                              Tensor(pair.d_emb)])
+        context = model.encoder.encode_batch([Tensor(pair.q.emb),
+                                              Tensor(pair.d.emb)])
         cached = model.score(pair, context=context).data
         assert model.score(pair).data == cached
 
@@ -494,13 +483,13 @@ class TestAttentionDrmm:
         rng = np.random.default_rng(24)
         model = build_model("attn-drmm-mv", 3, rng)
         pair = make_pair(rng, 3, 5, 3)
-        q_ctx = model.encoder.encode(Tensor(pair.q_emb)).data
-        d_ctx = model.encoder.encode(Tensor(pair.d_emb)).data
+        q_ctx = model.encoder.encode(Tensor(pair.q.emb)).data
+        d_ctx = model.encoder.encode(Tensor(pair.d.emb)).data
         view_c = attended_match_vectors(Tensor(q_ctx), Tensor(d_ctx)).data
         view_e = attended_match_vectors(
-            Tensor(np.concatenate([pair.q_emb, pair.q_emb], axis=1)),
-            Tensor(np.concatenate([pair.d_emb, pair.d_emb], axis=1))).data
-        q_h, d_h = hashed_match_vectors(*pair.codes, 6)
+            Tensor(np.concatenate([pair.q.emb, pair.q.emb], axis=1)),
+            Tensor(np.concatenate([pair.d.emb, pair.d.emb], axis=1))).data
+        q_h, d_h = hashed_match_vectors(pair.q.crcs, pair.d.crcs, 6)
         view_h = attended_match_vectors(Tensor(q_h), Tensor(d_h)).data
         got = model.rows(pair).data
         np.testing.assert_allclose(got, view_c + view_e + view_h, atol=1e-12)
@@ -530,9 +519,8 @@ class TestPooledCosineDrmm:
         model.params["dense.w0"].data[:] = [[2.0], [4.0]]
         model.params["dense.b0"].data[:] = [1.0]
         d_emb = np.stack([unit_from_cosine(c) for c in (1.0, 0.5, -0.5)])
-        pair = PairInput("q", "d", unit_from_cosine(1.0)[None, :], d_emb,
-                         np.array([1.0]), np.arange(1), np.arange(3),
-                         [("id", 0)], [("id", 0), ("id", 1), ("id", 2)])
+        pair = PairInput("q", "d", side([0], unit_from_cosine(1.0)[None, :], np.array([1.0])),
+                         side([0, 1, 2], d_emb))
         # Cosine row (1, 0.5, -0.5): max 1, top-2 mean 0.75; single-term
         # gate is 1, so the score is 2*1 + 4*0.75 + 1.
         np.testing.assert_allclose(model.score(pair).data, 6.0, atol=1e-12)
@@ -543,7 +531,7 @@ class TestPooledCosineDrmm:
         zero_encoder(model)
         pair = make_pair(rng, 2, 2, 3)
         feats = model.rows(pair).data
-        sim = sim_np(pair.q_emb, pair.d_emb, 2, 2)
+        sim = sim_np(pair.q.emb, pair.d.emb, 2, 2)
         np.testing.assert_allclose(feats[:, 0], sim.max(axis=1), atol=1e-12)
         np.testing.assert_allclose(feats[:, 1], sim.mean(axis=1), atol=1e-12)
 
@@ -552,9 +540,7 @@ class TestPooledCosineDrmm:
         model = build_model("pooled-drmm", 3, rng, k=2)
         zero_encoder(model)
         pair = make_pair(rng, 3, 6, 3)
-        flipped = PairInput("q", "d", pair.q_emb, pair.d_emb[::-1].copy(),
-                            pair.q_idf, pair.q_rows, pair.d_rows,
-                            pair.q_keys, list(reversed(pair.d_keys)))
+        flipped = PairInput("q", "d", pair.q, reorder(pair.d, np.arange(6)[::-1]))
         np.testing.assert_allclose(model.score(pair).data,
                                    model.score(flipped).data, atol=1e-12)
 
@@ -564,11 +550,9 @@ class TestPooledCosineDrmm:
         zero_encoder(model)
         base = make_pair(rng, 1, 3, 3)
         before = model.rows(base).data[0, 0]
-        better = base.q_emb[0] * 2.0  # cosine exactly 1 to the query term
-        extended = PairInput("q", "d", base.q_emb,
-                             np.concatenate([base.d_emb, better[None, :]]),
-                             base.q_idf, base.q_rows, np.arange(4),
-                             base.q_keys, base.d_keys + [("id", 0)])
+        better = base.q.emb[0] * 2.0  # cosine exactly 1 to the query term
+        extended = PairInput("q", "d", base.q, side(np.append(base.d.ids, 0), np.concatenate(
+            [base.d.emb, better[None, :]])))
         after = model.rows(extended).data[0, 0]
         assert before < 1.0 - 1e-9
         np.testing.assert_allclose(after, 1.0, atol=1e-12)
@@ -586,8 +570,8 @@ class TestPooledCosineDrmm:
         rng = np.random.default_rng(35)
         model = build_model("pooled-drmm-mv", 3, rng, k=2)
         pair = make_pair(rng, 2, 4, 3)
-        pair.q_keys[:] = [("id", 100), ("id", 200)]
-        pair.d_keys[:] = [("id", 100), ("id", 7), ("id", 8), ("id", 9)]
+        pair = PairInput("q", "d", side([100, 200], pair.q.emb, pair.q.idf),
+                         side([100, 7, 8, 9], pair.d.emb))
         exact = model.rows(pair).data[:, 4:6]
         np.testing.assert_allclose(exact[0], [1.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(exact[1], [0.0, 0.0], atol=1e-12)
@@ -630,7 +614,7 @@ class TestTrainableEmbeddings:
         pair = make_pair(rng, 2, 3, 2)
         model.score(pair).backward()
         grad = model.params["embeddings"].grad
-        used = set(pair.q_rows) | set(pair.d_rows)
+        used = set(pair.q.rows) | set(pair.d.rows)
         for row in range(8):
             if row in used:
                 assert np.any(grad[row] != 0.0)
@@ -644,7 +628,7 @@ class TestTrainableEmbeddings:
                             emb_matrix=emb)
         pair = make_pair(rng, 2, 3, 2)
         before = model.score(pair).data
-        model.params["embeddings"].data[pair.q_rows[0]] += 0.5
+        model.params["embeddings"].data[pair.q.rows[0]] += 0.5
         assert model.score(pair).data != before
 
     def test_requires_matrix(self):

@@ -514,9 +514,9 @@ class TestBatchedContexts:
         for pair, (q_ctx, d_ctx) in zip(pairs, contexts):
             assert q_ctx is shared.setdefault(pair.query_id, q_ctx)
             np.testing.assert_array_equal(
-                d_ctx.data, model.encoder.encode(Tensor(pair.d_emb)).data)
+                d_ctx.data, model.encoder.encode(Tensor(pair.d.emb)).data)
             np.testing.assert_array_equal(
-                q_ctx.data, model.encoder.encode(Tensor(pair.q_emb)).data)
+                q_ctx.data, model.encoder.encode(Tensor(pair.q.emb)).data)
 
     def test_dropout_masks_are_drawn_per_pair_query_then_document(
             self, monkeypatch):
@@ -543,7 +543,7 @@ class TestBatchedContexts:
         rng = np.random.default_rng(config.seed)
         want = []
         for pair in batch_pairs(data, rng):
-            for x in (pair.q_emb, pair.d_emb):
+            for x in (pair.q.emb, pair.d.emb):
                 want.append(x * ((rng.random(x.shape) >= 0.4) / (1.0 - 0.4)))
         assert len(outputs) == 1 and len(outputs[0]) == len(want)
         for got, x in zip(outputs[0], want):
@@ -566,8 +566,8 @@ class TestBatchedContexts:
         config = TrainConfig(epochs=1, batch_size=64, seed=6)
         train(model, data, config)
         pairs = batch_pairs(data, np.random.default_rng(config.seed))
-        longest = max(max(len(p.q_emb), len(p.d_emb)) for p in pairs)
-        tokens = sum(len(p.q_emb) + len(p.d_emb) for p in pairs)
+        longest = max(max(len(p.q.emb), len(p.d.emb)) for p in pairs)
+        tokens = sum(len(p.q.emb) + len(p.d.emb) for p in pairs)
         assert longest < tokens
         for cell in (model.encoder.forward_cell, model.encoder.backward_cell):
             assert calls.count(cell) == longest
