@@ -23,13 +23,32 @@ class SideInput:
     ids: np.ndarray    # (n,) term ids; OOV_ID for a query term outside the vocabulary
     rows: np.ndarray   # (n,) embedding-matrix row indices
     emb: np.ndarray    # (n, dim) pre-trained vectors
-    crcs: np.ndarray   # (n,) CRC-32 of each term's exact-match key
     idf: np.ndarray | None  # (n,) a query's IDF values; None for a document
+    tokens: list | None     # a query's surface tokens; None for a document
+    id_crcs: dict           # term id -> CRC, shared by the builder's sides
 
     def __post_init__(self):
-        for values in (self.ids, self.rows, self.emb, self.crcs, self.idf):
+        for values in (self.ids, self.rows, self.emb, self.idf):
             if values is not None:
                 values.flags.writeable = False
+
+    @cached_property
+    def crcs(self) -> np.ndarray:
+        """(n,) CRC-32 of each term's exact-match key, worked out when the
+        hashed view first reads them: ``("id", tid)``, hashed once per table
+        ``id_crcs``, or ``("oov", token)`` for a query term outside the
+        vocabulary, which matches no document term but keeps its slot."""
+        crcs = np.empty(len(self.ids), dtype=np.int64)
+        for i, tid in enumerate(self.ids.tolist()):
+            if self.tokens is not None and tid == OOV_ID:
+                token = self.tokens[i] if i < len(self.tokens) else f"\x00{i}"
+                crcs[i] = _crc(("oov", token))
+            else:
+                if tid not in self.id_crcs:
+                    self.id_crcs[tid] = _crc(("id", tid))
+                crcs[i] = self.id_crcs[tid]
+        crcs.flags.writeable = False
+        return crcs
 
     @cached_property
     def terms(self) -> set:
@@ -46,26 +65,12 @@ class SideInput:
 def side_input(terms, emb: EmbeddingMatrix, id_crcs: dict, tokens,
                idf: IdfTable | None) -> SideInput:
     """The inputs of a query's ``terms``, with its ``tokens`` and the
-    ``idf`` table, or of a document's, with None for both.
-
-    A term's CRC is that of its key ``("id", tid)``, taken from ``id_crcs``
-    (term id -> CRC, filled on first lookup, so each distinct id is hashed
-    once per table).  A query term outside the vocabulary is keyed by its
-    surface token, ``("oov", token)``: unseen tokens never equal a document
-    term, and a repeated one keeps its slot among the hashed one-hots.
-    """
-    crcs = []
-    for i, tid in enumerate(terms):
-        if tokens is not None and tid == OOV_ID:
-            crcs.append(_crc(("oov", tokens[i] if i < len(tokens) else f"\x00{i}")))
-            continue
-        if tid not in id_crcs:
-            id_crcs[tid] = _crc(("id", tid))
-        crcs.append(id_crcs[tid])
+    ``idf`` table, or of a document's, with None for both; ``id_crcs`` is
+    the table its :attr:`SideInput.crcs` reads and fills."""
     ids = np.asarray(terms, dtype=np.int64)
     rows = emb.resolve(ids)
-    return SideInput(ids, rows, emb.rows[rows], np.array(crcs, dtype=np.int64),
-                     None if idf is None else idf.for_terms(terms))
+    return SideInput(ids, rows, emb.rows[rows],
+                     None if idf is None else idf.for_terms(terms), tokens, id_crcs)
 
 
 def _crc(key) -> int:
@@ -74,8 +79,7 @@ def _crc(key) -> int:
 
 @dataclass
 class PairInput:
-    """One query-document pair: its two sides' shared inputs and its own
-    extra features."""
+    """One query-document pair: its two shared sides and its extra features."""
 
     query_id: str
     doc_id: str
@@ -86,9 +90,8 @@ class PairInput:
 
 def build_pair_input(query_id: str, doc_id: str, q: SideInput, d: SideInput,
                      features: ExtraFeatureBuilder | None) -> PairInput:
-    """Join a query's and a document's inputs.  With ``features`` (the
-    query's ``ExtraFeatureBuilder``, or None), the pair's extra features,
-    the one part that reads both sides, are computed here."""
+    """Join a query's and a document's inputs, with the pair's extra
+    features when ``features`` (the query's ``ExtraFeatureBuilder``) is given."""
     extra = None if features is None else features.feature_array(doc_id, q, d)
     return PairInput(query_id, doc_id, q, d, extra)
 

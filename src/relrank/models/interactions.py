@@ -146,17 +146,15 @@ def max_kmax_pool(scores: Tensor, k: int, mask=None) -> Tensor:
 
 def equality_matrix(q_ids: np.ndarray, d_ids: np.ndarray) -> np.ndarray:
     """{0,1} matrix of term-id equality, (..., n) and (..., m) term ids to
-    (..., n, m); the cosine matrix of one-hots.  A query term outside the
-    vocabulary (OOV_ID, -1) and a padded batch's padding (-1) match
-    nothing."""
+    (..., n, m); the cosine matrix of one-hots.  OOV_ID and a padded
+    batch's padding, both -1, match nothing."""
     q = q_ids[..., :, None]
     return ((q == d_ids[..., None, :]) & (q >= 0)).astype(np.float64)
 
 
 def hashed_match_vectors(q_crcs: np.ndarray, d_crcs: np.ndarray, width: int):
     """Exact-match one-hots folded into a fixed width by hashing: a term
-    lands in slot ``crc % width``, its exact-match key's CRC-32
-    (``SideInput.crcs``), and padding (-1) in none.
+    lands in slot ``crc % width`` (``SideInput.crcs``), padding (-1) in none.
 
     Equal terms always collide onto the same slot; unequal terms may rarely
     collide too, which trades exactness for a width the attention pipeline

@@ -59,7 +59,6 @@ from .interactions import (
 )
 
 BASELINE = "bm25-extra"
-MULTIVIEW = ("context", "embedding", "exact")
 GATE_MODES = ("emb+idf", "emb", "idf")
 
 
@@ -102,10 +101,14 @@ class Scorer:
     def view(self, name: str, batch: PairBatch, contexts):
         """One view of a batch as padded (query side, document side): the
         ``context`` encodings (``contexts``, from :meth:`contexts`), raw
-        ``embedding`` vectors, or the term ids that the ``exact``-match view
-        compares (-1 in the padding)."""
+        ``embedding`` vectors, or exact match, read as the term ids that
+        ``exact`` compares or as the CRCs that ``hashed`` folds into
+        one-hots (-1 in the padding of both)."""
         if name == "exact":
             return batch.pad("q", "ids", -1), batch.pad("d", "ids", -1)
+        if name == "hashed":
+            return (batch.pad("q", [p.q.crcs for p in batch.pairs], -1),
+                    batch.pad("d", [p.d.crcs for p in batch.pairs], -1))
         if name == "context":
             return tuple(pad([c[i] for c in contexts], batch.mask(side).shape[1])
                          for i, side in enumerate("qd"))
@@ -364,13 +367,11 @@ def _attention(views):
         def rows(model, batch, contexts):
             phi = None
             for view in views:
-                if view == "exact":  # hashed one-hots of the terms' CRCs
-                    q, d = (Tensor(v) for v in hashed_match_vectors(
-                        batch.pad("q", "crcs", -1), batch.pad("d", "crcs", -1), width))
-                else:
-                    q, d = model.view(view, batch, contexts)
+                q, d = model.view(view, batch, contexts)
                 if view == "embedding":  # duplicated to the encodings' width
                     q, d = concat([q, q], axis=-1), concat([d, d], axis=-1)
+                elif view == "hashed":  # one-hots as wide as the encodings
+                    q, d = (Tensor(v) for v in hashed_match_vectors(q, d, width))
                 signature = attended_match_vectors(q, d, batch.d_mask)
                 phi = signature if phi is None else phi + signature
             return phi
@@ -412,9 +413,9 @@ _BUILDERS = {
     "pacrr": _conv("flat"),
     "pacrr-drmm": _conv("linear"),
     "attn-drmm": _attention(("context",)),
-    "attn-drmm-mv": _attention(MULTIVIEW),
+    "attn-drmm-mv": _attention(("context", "embedding", "hashed")),
     "pooled-drmm": _pooled(("context",)),
-    "pooled-drmm-mv": _pooled(MULTIVIEW),
+    "pooled-drmm-mv": _pooled(("context", "embedding", "exact")),
 }
 
 

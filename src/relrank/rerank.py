@@ -73,13 +73,9 @@ class PairBuilder:
         first use."""
         key = (side, item_id)
         if key not in self._sides:
-            if side == "q":
-                query = self.query(item_id)
-                self._sides[key] = side_input(query.terms, self.emb, self.id_crcs,
-                                              query.tokens, self.idf)
-            else:
-                self._sides[key] = side_input(self.document(item_id).terms,
-                                              self.emb, self.id_crcs, None, None)
+            item = self.query(item_id) if side == "q" else self.document(item_id)
+            tokens, idf = (item.tokens, self.idf) if side == "q" else (None, None)
+            self._sides[key] = side_input(item.terms, self.emb, self.id_crcs, tokens, idf)
         return self._sides[key]
 
     def pair(self, query_id: str, doc_id: str) -> PairInput:

@@ -1,7 +1,6 @@
 """Shared plumbing for the test suites."""
 
 import json
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,20 +16,20 @@ from relrank.trec import Qrels, ranked_list_from_scores
 
 
 def side(ids, emb, idf=None, rows=None):
-    """A side input built by hand: term ``ids`` with the CRCs of their keys
-    ``("id", t)``, and the vectors ``emb`` (embedding rows ``rows``, by
-    default 0 to n - 1)."""
+    """A side input built by hand: term ``ids`` (CRCs of their keys
+    ``("id", t)`` from a table of its own) and the vectors ``emb``
+    (embedding rows ``rows``, by default 0 to n - 1)."""
     ids = np.asarray(ids, dtype=np.int64)
-    crcs = [zlib.crc32(repr(("id", t)).encode("utf-8")) for t in ids.tolist()]
     return SideInput(ids, np.arange(len(ids)) if rows is None else rows,
-                     np.asarray(emb, dtype=np.float64),
-                     np.array(crcs, dtype=np.int64), idf)
+                     np.asarray(emb, dtype=np.float64), idf, None, {})
 
 
 def reorder(side, order):
     """A side input with its terms taken in ``order``."""
+    tokens = None if side.tokens is None else [side.tokens[i] for i in order]
     return SideInput(side.ids[order], side.rows[order], side.emb[order],
-                     side.crcs[order], None if side.idf is None else side.idf[order])
+                     None if side.idf is None else side.idf[order], tokens,
+                     side.id_crcs)
 
 
 def make_pair(rng, n, m, dim, extra=False):

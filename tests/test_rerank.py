@@ -141,8 +141,10 @@ class TestExactMatchIds:
         pairs = [builder.pair(qid, did)
                  for qid, ranked in sorted(builder.candidates.items())
                  for did in ranked.doc_ids()]
+        assert not hashed  # CRCs are worked out when the hashed view reads them
         distinct = set()
         for pair in pairs:
+            pair.q.crcs, pair.d.crcs
             distinct |= set(pair.q.ids.tolist()) | set(pair.d.ids.tolist())
         assert len(hashed) == len(distinct)
         assert sorted(hashed) == sorted(repr(("id", t)).encode("utf-8")
@@ -150,7 +152,7 @@ class TestExactMatchIds:
         fresh = PairBuilder(builder.queries.values(), builder.documents.values(),
                             builder.candidates, builder.emb, builder.idf)
         qid = sorted(builder.candidates)[0]
-        fresh.pair(qid, builder.candidates[qid].doc_ids()[0])
+        fresh.pair(qid, builder.candidates[qid].doc_ids()[0]).d.crcs
         assert len(hashed) > len(distinct)  # its own table, hashed again
 
     def test_colliding_unseen_tokens_never_match_and_share_a_slot(self):
