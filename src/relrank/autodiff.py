@@ -533,14 +533,17 @@ class ParameterSet:
         return ParameterSet([(k, Tensor(v.data.copy())) for k, v in self._params.items()])
 
     def load_from(self, other: "ParameterSet"):
-        """Copy matching-shape data in from another set (names must agree)."""
-        if set(other.names()) != set(self.names()):
-            raise ValueError("parameter name sets differ")
+        """Copy data in from a set of the same names and shapes, or raise a
+        ValueError naming each "name shape" that only one of the two has."""
+        want, got = ({name: p[name].data.shape for name in p.names()}
+                     for p in (self, other))
+        if got != want:
+            missing = [f"{n} {s}" for n, s in want.items() if got.get(n) != s]
+            unexpected = [f"{n} {s}" for n, s in got.items() if want.get(n) != s]
+            raise ValueError(f"parameters differ: missing {missing}, "
+                             f"unexpected {unexpected}")
         for name, t in self._params.items():
-            src = other[name]
-            if src.data.shape != t.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}")
-            t.data = src.data.copy()
+            t.data = other[name].data.copy()
 
     def grad_norm(self) -> float:
         total = 0.0

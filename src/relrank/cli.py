@@ -83,7 +83,11 @@ def _load_trained(cfg: PipelineConfig, world: _World, seed: int,
     ckpt = Path(checkpoint) if checkpoint else _checkpoint_path(cfg, model.name, seed)
     if not ckpt.exists():
         raise ConfigError(f"checkpoint not found: {ckpt} (run `train` first)")
-    model.params.load_from(load_params(ckpt))
+    params = load_params(ckpt)
+    try:
+        model.params.load_from(params)
+    except ValueError as exc:
+        raise DataError(f"{ckpt}: not a checkpoint of {model.name}: {exc}") from exc
     return model, ckpt
 
 

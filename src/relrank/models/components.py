@@ -18,32 +18,26 @@ class Mlp:
 
     ``hidden=()`` degenerates to a single linear layer.  Weights are (in,
     out) and applied as ``x @ w`` by an einsum, whose bits for a row do not
-    depend on the other rows; biases start at zero.
+    depend on the other rows.  Hidden biases start at zero; the head has no
+    bias, as the pairwise hinge cannot train a constant added to every score.
     """
 
     def __init__(self, in_dim: int, hidden, rng: np.random.Generator):
         self.sizes = [in_dim, *hidden, 1]
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(self.sizes, self.sizes[1:]):
-            self.weights.append(Tensor(glorot_uniform(rng, fan_in, fan_out,
-                                                      (fan_in, fan_out))))
-            self.biases.append(Tensor(np.zeros(fan_out)))
+        self.weights = [Tensor(glorot_uniform(rng, fan_in, fan_out,
+                                              (fan_in, fan_out)))
+                        for fan_in, fan_out in zip(self.sizes, self.sizes[1:])]
+        self.biases = [Tensor(np.zeros(size)) for size in hidden]
 
     def parameters(self, prefix: str):
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"{prefix}.w{i}", w))
-            out.append((f"{prefix}.b{i}", b))
-        return out
+        layers = enumerate(zip(self.weights, [*self.biases, None]))
+        return [(f"{prefix}.{kind}{i}", t) for i, (w, b) in layers
+                for kind, t in (("w", w), ("b", b)) if t is not None]
 
     def rows(self, x: Tensor) -> Tensor:
         """Map a (..., in_dim) tensor to (...,) scalars, one per row."""
         lead = x.shape[:-1]
         h = x.reshape(-1, x.shape[-1])
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = add_rowvec(einsum("ni,io->no", h, w), b)
-            if i < last:
-                h = h.relu()
-        return h.reshape(*lead)
+        for w, b in zip(self.weights, self.biases):
+            h = add_rowvec(einsum("ni,io->no", h, w), b).relu()
+        return einsum("ni,io->no", h, self.weights[-1]).reshape(*lead)

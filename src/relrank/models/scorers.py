@@ -9,6 +9,8 @@ scores the rows, and an *aggregation* combines them: a softmax gate over
 the query terms, a linear mix (pacrr-drmm), or, for pacrr, flattening the
 rows before the head.  With extra features on, that score is then mixed
 linearly with the four extra features; ``bm25-extra`` is the mix alone.
+No stage adds a bias to the score: training's pairwise hinge reads only
+score differences, so it could not train one.
 
 :meth:`Scorer.score_batch` is the one scoring path: it scores a batch of
 pairs in one padded pass and returns a (B,) autodiff tensor, so the
@@ -39,8 +41,7 @@ import inspect
 
 import numpy as np
 
-from ..autodiff import (ParameterSet, Tensor, add_rowvec, concat, einsum,
-                        gather_rows, pad)
+from ..autodiff import ParameterSet, Tensor, concat, einsum, gather_rows, pad
 from ..encoder import BiRnnEncoder
 from ..errors import ConfigError, check_type
 from .components import Mlp, glorot_uniform
@@ -181,8 +182,7 @@ class Scorer:
             if not self.extra:
                 return base
         extra = np.stack([pair.extra for pair in pairs])
-        total = add_rowvec(einsum("bf,f->b", extra, p["combine.w_extra"]),
-                           p["combine.b"])
+        total = einsum("bf,f->b", extra, p["combine.w_extra"])
         if self.rows_stage is None:
             return total
         return total + einsum("b,->b", base, p["combine.w_model"])
@@ -207,8 +207,7 @@ class Scorer:
             return self.head.rows(rows.reshape(rows.shape[0], -1))
         row_scores = self.head.rows(rows)
         if self.aggregation == "linear":
-            return add_rowvec(einsum("bq,q->b", row_scores, self.params["agg.w"]),
-                              self.params["agg.b"])
+            return einsum("bq,q->b", row_scores, self.params["agg.w"])
         gates = term_gate(self.gate_inputs(batch), self.params["gate.w"],
                           batch.q_mask)
         return (gates * row_scores).sum(axis=-1)
@@ -349,7 +348,6 @@ def _conv(aggregation: str):
         model.head = model.register("row_mlp", Mlp(width, hidden, rng))
         model.params.add("agg.w", glorot_uniform(rng, max_query_terms, 1,
                                                  max_query_terms))
-        model.params.add("agg.b", np.zeros(()))
         return model
 
     return build
@@ -503,5 +501,4 @@ def _add_extra(model: Scorer) -> None:
         model.name += "+extra"
         model.params.add("combine.w_model", np.ones(()))
     model.params.add("combine.w_extra", np.zeros(4))
-    model.params.add("combine.b", np.zeros(()))
     model.extra = True

@@ -224,8 +224,8 @@ class TestTrainCommand:
 
 class TestRerankCommand:
     def test_untrained_combiner_gives_constant_scores(self, ws):
-        # A fresh linear combiner has zero weights and bias, so every score
-        # is 0.0 and candidates fall back to the doc-id tie-break order.
+        # A fresh linear combiner has zero extra-feature weights, so every
+        # score is 0.0 and candidates fall back to the doc-id tie-break order.
         rng = np.random.default_rng(0)
         model = build_model("bm25-extra", 6, rng)
         ckpt = ws.root / "zero.rrcp"
@@ -284,6 +284,43 @@ class TestRerankCommand:
         assert ("error[data]: eval split names queries without candidates: "
                 "['qZZZ']") in capsys.readouterr().err
         assert not (tmp_path / "out.run").exists()
+
+    def refused(self, ws, tmp_path, capsys, model, params):
+        """Rerank ``model`` from a checkpoint of ``params``: exit 3 and a
+        data error naming the checkpoint, which is returned."""
+        ckpt = tmp_path / "other.rrcp"
+        save_params(ckpt, params)
+        out = tmp_path / "out.run"
+        assert main(["rerank", ws.cfg, "--set", f"model={model}",
+                     "--checkpoint", str(ckpt), "--output", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[data]: {ckpt}: not a checkpoint of ")
+        return err
+
+    def test_checkpoint_with_a_constant_offset_bias_is_data_error(
+            self, ws, tmp_path, capsys):
+        # The layout from before the models lost combine.b.
+        params = build_model("bm25-extra", 6, np.random.default_rng(0)).params
+        params.add("combine.b", np.zeros(()))
+        err = self.refused(ws, tmp_path, capsys, "bm25-extra", params)
+        assert "missing [], unexpected ['combine.b ()']" in err
+
+    def test_checkpoint_of_another_architecture_is_data_error(
+            self, ws, tmp_path, capsys):
+        params = build_model("drmm", 6, np.random.default_rng(0),
+                             extra_features=True).params
+        err = self.refused(ws, tmp_path, capsys, "pooled-drmm-mv", params)
+        assert "pooled-drmm-mv+extra" in err
+        assert "'dense.w0 (6, 1)'" in err and "'mlp.w0 (30, 30)'" in err
+
+    def test_checkpoint_with_another_shape_is_data_error(
+            self, ws, tmp_path, capsys):
+        params = build_model("bm25-extra", 6, np.random.default_rng(0)).params
+        params["combine.w_extra"].data = np.zeros(5)
+        err = self.refused(ws, tmp_path, capsys, "bm25-extra", params)
+        assert ("missing ['combine.w_extra (4,)'], "
+                "unexpected ['combine.w_extra (5,)']") in err
 
     def test_missing_checkpoint_is_config_error(self, ws, capsys):
         assert main(["rerank", ws.cfg, "--seed", "77"]) == 2

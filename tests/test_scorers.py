@@ -39,13 +39,11 @@ def l2n_np(rows):
 
 
 def mlp_rows_np(x, weights, biases):
+    """Hidden layers with biases and relu, then a head with no bias."""
     h = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w.data + b.data
-        if i < last:
-            h = np.maximum(h, 0.0)
-    return h[:, 0]
+    for w, b in zip(weights, biases):
+        h = np.maximum(h @ w.data + b.data, 0.0)
+    return (h @ weights[-1].data)[:, 0]
 
 
 def unit_from_cosine(c, dim=3):
@@ -108,14 +106,13 @@ class TestHistogramDrmm:
         rng = np.random.default_rng(0)
         model = build_model("drmm", 2, rng, buckets=2, hidden=(), gate_mode="idf")
         model.params["mlp.w0"].data[:] = [[0.5], [-0.25]]
-        model.params["mlp.b0"].data[:] = [0.1]
         model.params["gate.w"].data[:] = [2.0]
         e1, e2 = np.eye(2)
         pair = PairInput("q", "d", side([0, 1], np.stack([e1, e2]), np.array([0.3, 0.9])),
                          side([0, 2], np.stack([e1, -e2])))
         # Counts: q1 sees cosines (1, 0) -> [0, 2]; q2 sees (0, -1) -> [1, 1].
-        s1 = math.log1p(2) * -0.25 + 0.1
-        s2 = math.log1p(1) * 0.5 + math.log1p(1) * -0.25 + 0.1
+        s1 = math.log1p(2) * -0.25
+        s2 = math.log1p(1) * 0.5 + math.log1p(1) * -0.25
         g = softmax_np(np.array([0.6, 1.8]))
         expect = g[0] * s1 + g[1] * s2
         np.testing.assert_allclose(model.score(pair).data, expect, atol=1e-12)
@@ -219,8 +216,7 @@ class TestConvRowModels:
                              int(rng.integers(1, 7)), 3)
             rows = self.conv_rows_np(model, pair)
             per_row = mlp_rows_np(rows, model.head.weights, model.head.biases)
-            agg_w, agg_b = model.params["agg.w"], model.params["agg.b"]
-            expect = float(agg_w.data @ per_row + agg_b.data)
+            expect = float(model.params["agg.w"].data @ per_row)
             np.testing.assert_allclose(model.score(pair).data, expect, atol=1e-10)
 
     def test_zero_vectors_leave_only_idf_mass(self):
@@ -229,7 +225,6 @@ class TestConvRowModels:
         rng = np.random.default_rng(12)
         model = self.fixed(rng, "pacrr")
         model.params["dense.w0"].data[:] = 1.0
-        model.params["dense.b0"].data[:] = 0.0
         pair = PairInput("q", "d", side([0, 1], np.zeros((2, 3)), np.array([0.5, 1.5])),
                          side([9] * 4, np.zeros((4, 3))))
         np.testing.assert_allclose(model.score(pair).data, 1.0, atol=1e-12)
@@ -260,7 +255,6 @@ class TestConvRowModels:
         for name in ("conv2.w", "conv2.b"):
             model.params[name].data[:] = 0.0
         model.params["agg.w"].data[:] = 1.0 / L_Q
-        model.params["agg.b"].data[()] = 0.0
         pair = make_pair(rng, 3, 5, 3)
         perm = np.array([2, 0, 1])
         permuted = PairInput("q", "d", reorder(pair.q, perm), pair.d)
@@ -269,14 +263,13 @@ class TestConvRowModels:
 
     def test_reduces_to_linear_row_mix(self):
         # With no hidden layers the per-row scorer is literally
-        # w_agg . (rows @ w + b) + b_agg.
+        # w_agg . (rows @ w).
         rng = np.random.default_rng(16)
         model = self.fixed(rng, "pacrr-drmm", max_query_terms=2, max_kernel=2)
         pair = make_pair(rng, 2, 4, 3)
         rows = model.rows(pair).data
         p = model.params
-        inner = rows @ p["row_mlp.w0"].data[:, 0] + p["row_mlp.b0"].data[0]
-        expect = float(p["agg.w"].data @ inner + p["agg.b"].data)
+        expect = float(p["agg.w"].data @ (rows @ p["row_mlp.w0"].data[:, 0]))
         np.testing.assert_allclose(model.score(pair).data, expect, atol=1e-12)
 
     def test_config_validation(self):
@@ -470,7 +463,7 @@ class TestAttentionDrmm:
         got = model.rows(pair).data
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
-    def test_doc_state_cache_matches_fresh_encode(self):
+    def test_given_contexts_match_a_fresh_encode(self):
         rng = np.random.default_rng(23)
         model = build_model("attn-drmm", 3, rng)
         pair = make_pair(rng, 2, 5, 3)
@@ -517,13 +510,12 @@ class TestPooledCosineDrmm:
         model = build_model("pooled-drmm", 3, rng, k=2, gate_mode="idf")
         zero_encoder(model)
         model.params["dense.w0"].data[:] = [[2.0], [4.0]]
-        model.params["dense.b0"].data[:] = [1.0]
         d_emb = np.stack([unit_from_cosine(c) for c in (1.0, 0.5, -0.5)])
         pair = PairInput("q", "d", side([0], unit_from_cosine(1.0)[None, :], np.array([1.0])),
                          side([0, 1, 2], d_emb))
         # Cosine row (1, 0.5, -0.5): max 1, top-2 mean 0.75; single-term
-        # gate is 1, so the score is 2*1 + 4*0.75 + 1.
-        np.testing.assert_allclose(model.score(pair).data, 6.0, atol=1e-12)
+        # gate is 1, so the score is 2*1 + 4*0.75.
+        np.testing.assert_allclose(model.score(pair).data, 5.0, atol=1e-12)
 
     def test_pool_depth_exceeding_doc_len(self):
         rng = np.random.default_rng(31)
@@ -647,19 +639,18 @@ class TestTrainableEmbeddings:
         assert report.passed, report
 
 
-class TestCombinedScorer:
+class TestExtraFeatureMix:
     def test_baseline_is_pure_linear(self):
         model = build_model(BASELINE, 3, np.random.default_rng(0))
-        model.params["combine.b"].data[()] = 0.7
         w_extra = model.params["combine.w_extra"]
         w_extra.data[:] = [1.0, -2.0, 0.5, 0.0]
         pair = make_pair(np.random.default_rng(50), 2, 3, 3, extra=True)
-        expect = float(w_extra.data @ pair.extra) + 0.7
+        expect = float(w_extra.data @ pair.extra)
         np.testing.assert_allclose(model.score(pair).data, expect, atol=1e-12)
         assert model.name == "bm25-extra"
 
     def test_fresh_combiner_passes_base_score_through(self):
-        # Initial weights: model weight 1, extra weights 0, bias 0.
+        # Initial weights: model weight 1, extra weights 0.
         hyper = dict(buckets=4, hidden=(4,))
         base = build_model("drmm", 3, np.random.default_rng(51), **hyper)
         model = build_model("drmm", 3, np.random.default_rng(51),
@@ -677,7 +668,6 @@ class TestCombinedScorer:
         model.score(pair).backward()
         p = model.params
         np.testing.assert_array_equal(p["combine.w_extra"].grad, pair.extra)
-        assert p["combine.b"].grad == 1.0
         np.testing.assert_allclose(p["combine.w_model"].grad,
                                    base.score(pair).data, atol=1e-12)
 
@@ -696,7 +686,7 @@ class TestCombinedScorer:
         model = build_model("drmm", 3, rng, buckets=4, extra_features=True)
         assert model.params["mlp.w0"] is model.head.weights[0]
         names = model.params.names()
-        assert names[-3:] == ["combine.w_model", "combine.w_extra", "combine.b"]
+        assert names[-2:] == ["combine.w_model", "combine.w_extra"]
         assert len({id(t) for _, t in model.params.items()}) == len(names)
 
     def test_missing_extra_features_rejected(self):
@@ -712,6 +702,30 @@ class TestCombinedScorer:
         pair = make_pair(rng, 2, 4, 2, extra=True)
         report = model_grad_check(model, pair)
         assert report.passed, report
+
+
+class TestEveryParameterTrains:
+    """Training's pairwise hinge reads only s_neg - s_pos, so a parameter
+    that adds one constant to every score gets a zero gradient and never
+    trains.  No model may have one."""
+
+    @pytest.mark.parametrize("name,extra", [
+        (name, extra) for name in model_names() for extra in (False, True)
+        if name != BASELINE or extra])  # bm25-extra is the mix alone
+    def test_hinge_reaches_every_parameter(self, name, extra):
+        rng = np.random.default_rng(60)
+        model = build_model(name, 3, rng, extra_features=extra)
+        jitter_zero_params(model, rng)
+        q = side([0, 1, 2], rng.standard_normal((3, 3)), rng.uniform(0.2, 3.0, 3))
+        pairs = [PairInput("q", f"d{i}", q, side(rng.integers(0, 5, m),
+                                                 rng.standard_normal((m, 3))),
+                           extra=rng.standard_normal(4))
+                 for i, m in enumerate((4, 6, 3, 5, 7, 2))]
+        scores = model.score_batch(pairs)
+        (scores[1::2] - scores[0::2] + 10.0).relu().sum().backward()
+        untrained = [n for n, t in model.params.items()
+                     if not np.abs(t.grad).max() > 1e-12]
+        assert untrained == []
 
 
 class TestRegistry:
@@ -838,9 +852,13 @@ def _encoder(dim):
 
 
 def _mlp(prefix, sizes):
-    return [(f"{prefix}.{kind}{i}", shape)
-            for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:]))
-            for kind, shape in (("w", (fan_in, fan_out)), ("b", (fan_out,)))]
+    """Every layer's weights, and biases on the hidden layers only."""
+    out = []
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        out.append((f"{prefix}.w{i}", (fan_in, fan_out)))
+        if i < len(sizes) - 2:
+            out.append((f"{prefix}.b{i}", (fan_out,)))
+    return out
 
 
 _CONV = [("conv2.w", (16, 2, 2)), ("conv2.b", (16,)),
@@ -851,14 +869,13 @@ _GATE = [("gate.w", (5,))]
 LAYOUTS = {
     "drmm": _mlp("mlp", [30, 30, 30, 1]) + _GATE,
     "pacrr": _CONV + _mlp("dense", [210, 1]),
-    "pacrr-drmm": _CONV + _mlp("row_mlp", [7, 1]) + [("agg.w", (30,)),
-                                                     ("agg.b", ())],
+    "pacrr-drmm": _CONV + _mlp("row_mlp", [7, 1]) + [("agg.w", (30,))],
     "attn-drmm": _encoder(4) + _mlp("mlp", [8, 8, 8, 1]) + _GATE,
     "attn-drmm-mv": _encoder(4) + _mlp("mlp", [8, 8, 8, 1]) + _GATE,
     "pooled-drmm": _encoder(4) + _mlp("dense", [2, 1]) + _GATE,
     "pooled-drmm-mv": _encoder(4) + _mlp("dense", [6, 1]) + _GATE,
 }
-COMBINE = [("combine.w_model", ()), ("combine.w_extra", (4,)), ("combine.b", ())]
+COMBINE = [("combine.w_model", ()), ("combine.w_extra", (4,))]
 
 
 def layout(model):
